@@ -60,14 +60,23 @@ def _write_report(path: str | None, payload: dict) -> None:
         sys.stdout.write(text)
 
 
+def _read_json(path):
+    return json.loads(Path(path).read_text())
+
+
+def _load(loader, path, what: str):
+    """``loader(path)``; a missing, unreadable or non-JSON file is invalid input."""
+    try:
+        return loader(path)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read {what}: {exc}") from exc
+
+
 def _merge_config(args: argparse.Namespace, parser_keys: set[str]) -> dict:
     """Flat-JSON config with CLI-flag override precedence."""
     config = {}
     if args.config:
-        try:
-            loaded = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValueError(f"cannot read config file: {exc}") from exc
+        loaded = _load(_read_json, args.config, "config file")
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a flat JSON object")
         unknown = set(loaded) - parser_keys
@@ -103,7 +112,8 @@ def parse_profile(text: str) -> tuple[dict[int, float], dict[int, float]]:
     cosine/sine coefficient maps."""
     cos_coeffs: dict[int, float] = {}
     sin_coeffs: dict[int, float] = {}
-    pieces = re.findall(r"[+-]?[^+-]+", text.replace(" ", ""))
+    # split before each sign, except the sign of an exponent such as 1e-3
+    pieces = [p for p in re.split(r"(?<![\d.][eE])(?=[+-])", text.replace(" ", "")) if p]
     if not pieces:
         raise ValueError(f"empty profile {text!r}")
     for piece in pieces:
@@ -139,7 +149,7 @@ def cmd_korn(args: argparse.Namespace) -> int:
     from .mesh import load_mesh
 
     if config.get("mesh_file"):
-        mesh = load_mesh(config["mesh_file"])
+        mesh = _load(load_mesh, config["mesh_file"], "mesh file")
         estimates = [kornfem.korn_constant(mesh, bc=config["bc"], tol=config["tol"])]
     else:
         # level 1 upward: level-0 stock meshes have no admissible fields
@@ -148,12 +158,16 @@ def cmd_korn(args: argparse.Namespace) -> int:
             config["domain"], levels, bc=config["bc"], tol=config["tol"]
         )
     seq = [est.kappa_sq for est in estimates]
+    # Only the structured square meshes refine into nested spaces, where the
+    # sequence must not decrease; elsewhere monotonicity is not expected.
+    nested = not config.get("mesh_file") and config["domain"] == "square"
     monotone = all(b >= a - 1e-12 * max(1.0, abs(a)) for a, b in zip(seq, seq[1:]))
     result = {
         "levels": [est.to_dict(include_maximizer=config["store_maximizer"]) for est in estimates],
         "kappa_sq_sequence": seq,
         "kappa_sq_final": seq[-1],
-        "monotone_nondecreasing": monotone,
+        "nested": nested,
+        "monotone_nondecreasing": monotone if nested else None,
     }
     _write_report(config.get("report"), _report_envelope("korn", config, result))
     return EXIT_OK
@@ -174,7 +188,7 @@ def cmd_rigidity(args: argparse.Namespace) -> int:
     from .mat2 import Rotation
 
     if config.get("alpha_file"):
-        alpha = load_field(config["alpha_file"])
+        alpha = _load(load_field, config["alpha_file"], "alpha file")
         if not isinstance(alpha, ScalarField):
             raise ValueError("alpha file must hold a single-component field")
     else:
@@ -214,7 +228,7 @@ def cmd_shell(args: argparse.Namespace) -> int:
     from .shells import DEFAULT_COS_COEFFS, BlowupTable, ShellSpec, blowup_experiment
 
     if config.get("coeffs"):
-        raw = json.loads(Path(config["coeffs"]).read_text())
+        raw = _load(_read_json, config["coeffs"], "coeffs file")
         cos_coeffs = {int(k): float(v) for k, v in raw.get("cos", {}).items()}
         sin_coeffs = {int(k): float(v) for k, v in raw.get("sin", {}).items()}
     elif config.get("profile"):

@@ -8,10 +8,16 @@ checkable.
 
 Conventions, fixed once and asserted in the tests:
 
-* forward FFT unnormalized, inverse carries 1/n^2 (numpy's default), so
-  Plancherel reads ||field||_2^2 = (dx^2 / n^2) * sum |coeff|^2;
+* spectral work runs on the half spectrum of real fields: ``rfft2`` over
+  the two grid axes gives (n, n/2 + 1) coefficients, x-frequencies in fft
+  order along axis -2, y-frequencies 0..n/2 along axis -1;
+* forward transform unnormalized, inverse carries 1/n^2, so Plancherel
+  reads ||field||_2^2 = (dx^2 / n^2) * sum w |coeff|^2 over the half
+  spectrum, with w = 1 on the self-conjugate columns 0 and n/2, else 2;
 * spectral derivatives multiply the coefficient at frequency k by i*k and
-  zero the unpaired Nyquist line so derivatives of real fields stay real;
+  zero the unpaired Nyquist wavenumber so derivatives of real fields stay
+  real; all multipliers are even in k, so the half spectrum gives exactly
+  the real field of the full-plane multiplier;
 * quadrature is dx^2 times the sample sum (exact for band-limited fields).
 """
 
@@ -20,10 +26,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
 from .errors import CurlResidualTooLarge
 
@@ -33,6 +41,25 @@ CURL_TOL = 1e-8
 #: Margin width (as a fraction of L) and mass bound of the support check.
 SUPPORT_MARGIN_FRACTION = 0.125
 SUPPORT_MASS_BOUND = 1e-10
+
+
+def fft_workers() -> int:
+    """FFT worker threads: ``KORNLAB_THREADS`` at call time, default 1."""
+    text = os.environ.get("KORNLAB_THREADS") or "1"
+    if not text.isdigit() or int(text) < 1:
+        raise ValueError(f"KORNLAB_THREADS must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def half_spectrum(values: np.ndarray) -> np.ndarray:
+    """rfft2 of real samples over the two grid axes."""
+    return scipy.fft.rfft2(values, axes=(-2, -1), workers=fft_workers())
+
+
+def from_half_spectrum(coeffs: np.ndarray) -> np.ndarray:
+    """Real samples of a half spectrum: irfft2 back to the n x n grid."""
+    n = coeffs.shape[-2]
+    return scipy.fft.irfft2(coeffs, s=(n, n), axes=(-2, -1), workers=fft_workers())
 
 
 class PeriodicGrid:
@@ -54,15 +81,28 @@ class PeriodicGrid:
         k1d = 2.0 * math.pi * np.fft.fftfreq(n, d=self.spacing)
         self.kx, self.ky = np.meshgrid(k1d, k1d, indexing="ij")
 
-        # Derivative multipliers: the frequency -n/2 has no conjugate partner,
-        # so its coefficient is dropped to keep derivatives of real data real.
+        # Derivative wavenumbers in the half-spectrum layout, shaped to
+        # broadcast against (n, n/2 + 1) coefficients.  The frequency n/2 has
+        # no conjugate partner, so it is dropped to keep derivatives real.
         dk1d = k1d.copy()
         dk1d[n // 2] = 0.0
-        self.dkx, self.dky = np.meshgrid(dk1d, dk1d, indexing="ij")
+        self.dkx = dk1d[:, None]
+        self.dky = dk1d[None, : n // 2 + 1]
+        self.dk2 = self.dkx**2 + self.dky**2
+        # 1/|k|^2, zero on the derivative-blind modes (k = 0, Nyquist corners).
+        self.inv_dk2 = np.divide(1.0, self.dk2, out=np.zeros_like(self.dk2),
+                                 where=self.dk2 != 0.0)
 
     @property
     def cell_area(self) -> float:
         return self.spacing**2
+
+    def plancherel(self, power: np.ndarray) -> np.ndarray:
+        """Squared L2 norms of real fields from their half-spectrum power
+        |coeff|^2, one per leading index."""
+        weighted = 2.0 * power.sum(axis=(-2, -1))
+        weighted -= power[..., 0].sum(axis=-1) + power[..., -1].sum(axis=-1)
+        return self.cell_area * weighted / self.n**2
 
     def __eq__(self, other) -> bool:
         return (
@@ -78,19 +118,9 @@ class PeriodicGrid:
         return f"PeriodicGrid(n={self.n}, length={self.length})"
 
 
-def _check_values(grid: PeriodicGrid, values: np.ndarray, lead: tuple) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    want = lead + (grid.n, grid.n)
-    if values.shape != want:
-        raise ValueError(f"expected value shape {want}, got {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("field contains non-finite samples")
-    return values
-
-
 @dataclass
 class Spectrum:
-    """Complex Fourier coefficients of a real field, numpy fft2 layout."""
+    """Complex Fourier coefficients of a real field, full fft2 layout."""
 
     grid: PeriodicGrid
     coeffs: np.ndarray  # (..., n, n) complex
@@ -101,42 +131,55 @@ class Spectrum:
         return math.sqrt(self.grid.cell_area * total) / self.grid.n
 
     def to_values(self) -> np.ndarray:
-        return np.fft.ifft2(self.coeffs, axes=(-2, -1)).real
+        return scipy.fft.ifft2(self.coeffs, axes=(-2, -1), workers=fft_workers()).real
 
 
-class ScalarField:
+class _Field:
+    """Finite real samples on a grid, component axes ``components`` first."""
+
+    components: tuple = ()
+
     def __init__(self, grid: PeriodicGrid, values):
+        values = np.asarray(values, dtype=float)
+        want = self.components + (grid.n, grid.n)
+        if values.shape != want:
+            raise ValueError(f"expected value shape {want}, got {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("field contains non-finite samples")
         self.grid = grid
-        self.values = _check_values(grid, values, ())
-
-    @classmethod
-    def from_function(cls, grid: PeriodicGrid, fn) -> "ScalarField":
-        return cls(grid, fn(grid.x, grid.y))
+        self.values = values
 
     def spectrum(self) -> Spectrum:
-        return Spectrum(self.grid, np.fft.fft2(self.values))
+        coeffs = scipy.fft.fft2(self.values, axes=(-2, -1), workers=fft_workers())
+        return Spectrum(self.grid, coeffs)
 
-    def integrate(self) -> float:
-        return float(self.grid.cell_area * self.values.sum())
+    def integrate(self) -> float | np.ndarray:
+        return self.grid.cell_area * self.values.sum(axis=(-2, -1))
 
-    def mean(self) -> float:
-        return float(self.values.mean())
+    def mean(self) -> float | np.ndarray:
+        return self.values.mean(axis=(-2, -1))
 
     def norm_l2(self) -> float:
         return math.sqrt(self.grid.cell_area * float((self.values**2).sum()))
 
-    def grad(self) -> "VectorField2":
+    def _grad_hat(self) -> np.ndarray:
+        """Half spectrum of the gradient, derivative index after the components."""
         g = self.grid
-        fhat = np.fft.fft2(self.values)
-        dx = np.fft.ifft2(1j * g.dkx * fhat).real
-        dy = np.fft.ifft2(1j * g.dky * fhat).real
-        return VectorField2(g, np.stack([dx, dy]))
+        vhat = half_spectrum(self.values)
+        return 1j * np.stack([g.dkx * vhat, g.dky * vhat], axis=-3)
 
 
-class VectorField2:
-    def __init__(self, grid: PeriodicGrid, values):
-        self.grid = grid
-        self.values = _check_values(grid, values, (2,))
+class ScalarField(_Field):
+    @classmethod
+    def from_function(cls, grid: PeriodicGrid, fn) -> "ScalarField":
+        return cls(grid, fn(grid.x, grid.y))
+
+    def grad(self) -> "VectorField2":
+        return VectorField2(self.grid, from_half_spectrum(self._grad_hat()))
+
+
+class VectorField2(_Field):
+    components = (2,)
 
     @classmethod
     def from_function(cls, grid: PeriodicGrid, fn) -> "VectorField2":
@@ -144,61 +187,27 @@ class VectorField2:
         return cls(grid, np.stack([np.broadcast_to(u1, grid.x.shape),
                                    np.broadcast_to(u2, grid.x.shape)]))
 
-    def spectrum(self) -> Spectrum:
-        return Spectrum(self.grid, np.fft.fft2(self.values, axes=(-2, -1)))
-
-    def integrate(self) -> np.ndarray:
-        return self.grid.cell_area * self.values.sum(axis=(-2, -1))
-
-    def mean(self) -> np.ndarray:
-        return self.values.mean(axis=(-2, -1))
-
-    def norm_l2(self) -> float:
-        return math.sqrt(self.grid.cell_area * float((self.values**2).sum()))
-
     def grad(self) -> "MatrixField2":
         """Gradient G with G[i, j] = d_j u_i."""
-        g = self.grid
-        uhat = np.fft.fft2(self.values, axes=(-2, -1))
-        rows = []
-        for i in range(2):
-            gx = np.fft.ifft2(1j * g.dkx * uhat[i]).real
-            gy = np.fft.ifft2(1j * g.dky * uhat[i]).real
-            rows.append(np.stack([gx, gy]))
-        return MatrixField2(g, np.stack(rows))
+        return MatrixField2(self.grid, from_half_spectrum(self._grad_hat()))
 
     def div(self) -> ScalarField:
-        g = self.grid
-        uhat = np.fft.fft2(self.values, axes=(-2, -1))
-        out = np.fft.ifft2(1j * g.dkx * uhat[0] + 1j * g.dky * uhat[1]).real
-        return ScalarField(g, out)
+        ghat = self._grad_hat()
+        return ScalarField(self.grid, from_half_spectrum(ghat[0, 0] + ghat[1, 1]))
 
     def curl(self) -> ScalarField:
         """Scalar curl d_1 u_2 - d_2 u_1."""
-        g = self.grid
-        uhat = np.fft.fft2(self.values, axes=(-2, -1))
-        out = np.fft.ifft2(1j * g.dkx * uhat[1] - 1j * g.dky * uhat[0]).real
-        return ScalarField(g, out)
+        ghat = self._grad_hat()
+        return ScalarField(self.grid, from_half_spectrum(ghat[1, 0] - ghat[0, 1]))
 
 
-class MatrixField2:
-    def __init__(self, grid: PeriodicGrid, values):
-        self.grid = grid
-        self.values = _check_values(grid, values, (2, 2))
+class MatrixField2(_Field):
+    components = (2, 2)
 
     @classmethod
     def constant(cls, grid: PeriodicGrid, matrix) -> "MatrixField2":
         m = np.asarray(matrix, dtype=float)
         return cls(grid, np.broadcast_to(m[:, :, None, None], (2, 2, grid.n, grid.n)).copy())
-
-    def integrate(self) -> np.ndarray:
-        return self.grid.cell_area * self.values.sum(axis=(-2, -1))
-
-    def mean(self) -> np.ndarray:
-        return self.values.mean(axis=(-2, -1))
-
-    def norm_l2(self) -> float:
-        return math.sqrt(self.grid.cell_area * float((self.values**2).sum()))
 
     def row(self, i: int) -> VectorField2:
         return VectorField2(self.grid, self.values[i])
@@ -207,22 +216,30 @@ class MatrixField2:
         v = self.values
         return v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
 
-    def row_curl_residual(self) -> float:
-        """Max over rows of ||curl(row)||_2, relative to the derivative scale.
+    def row_curl_residual(self, spectrum: np.ndarray | None = None) -> float:
+        """Max over rows of ||curl(row)||_2, relative to the sum over rows of
+        ||grad(row)||_2; zero (to roundoff) exactly for spectral gradients.
 
-        Zero (to roundoff) exactly when the field is a spectral gradient.
-        """
-        scale = 0.0
-        worst = 0.0
-        for i in range(2):
-            row = self.row(i)
-            worst = max(worst, row.curl().norm_l2())
-            scale += row.grad().norm_l2()
-        return worst / max(scale, 1e-300)
+        Both norms come from ``spectrum``, the field's :func:`half_spectrum`
+        (computed when not given), by Plancherel."""
+        g = self.grid
+        ghat = half_spectrum(self.values) if spectrum is None else spectrum
+        curl = g.dkx * ghat[:, 1] - g.dky * ghat[:, 0]
+        curls = g.plancherel(curl.real**2 + curl.imag**2)
+        grads = g.plancherel(g.dk2 * (ghat.real**2 + ghat.imag**2)).sum(axis=1)
+        return float(np.sqrt(curls).max() / max(np.sqrt(grads).sum(), 1e-300))
 
 
 def integrate(field) -> float | np.ndarray:
     return field.integrate()
+
+
+def check_gradient(G: MatrixField2, tol: float = CURL_TOL, spectrum=None) -> float:
+    """Row-curl residual of G; raises :class:`CurlResidualTooLarge` above ``tol``."""
+    res = G.row_curl_residual(spectrum)
+    if res > tol:
+        raise CurlResidualTooLarge(res, tol)
+    return res
 
 
 def helmholtz(z: VectorField2) -> tuple[VectorField2, VectorField2]:
@@ -237,19 +254,22 @@ def helmholtz(z: VectorField2) -> tuple[VectorField2, VectorField2]:
     idempotent and exactly recomposable; resolved fields have none.
     """
     g = z.grid
-    zhat = np.fft.fft2(z.values, axes=(-2, -1))
-    dk2 = g.dkx**2 + g.dky**2
-    dk2safe = np.where(dk2 == 0.0, 1.0, dk2)
-    dot_k = (g.dkx * zhat[0] + g.dky * zhat[1]) / dk2safe
+    zhat = half_spectrum(z.values)
+    dot_k = (g.dkx * zhat[0] + g.dky * zhat[1]) * g.inv_dk2
     grad_hat = np.stack([g.dkx * dot_k, g.dky * dot_k])
-    derivative_blind = dk2 == 0.0
-    grad_hat[:, derivative_blind] = zhat[:, derivative_blind]
-    div_hat = zhat - grad_hat
-    grad_hat[:, 0, 0] = 0.0
-    div_hat[:, 0, 0] = 0.0
-    grad_part = np.fft.ifft2(grad_hat, axes=(-2, -1)).real
-    div_part = np.fft.ifft2(div_hat, axes=(-2, -1)).real
+    blind = g.dk2 == 0.0
+    grad_hat[:, blind] = zhat[:, blind]
+    parts = np.stack([grad_hat, zhat - grad_hat])
+    parts[..., 0, 0] = 0.0
+    grad_part, div_part = from_half_spectrum(parts)
     return VectorField2(g, grad_part), VectorField2(g, div_part)
+
+
+def potential_from_spectrum(grid: PeriodicGrid, ghat: np.ndarray) -> VectorField2:
+    """Mean-zero periodic u with grad(u) = G - mean(G), from the half spectrum
+    of G.  Does not check that G is a gradient: callers do that first."""
+    uhat = (grid.dkx * ghat[:, 0] + grid.dky * ghat[:, 1]) * (-1j * grid.inv_dk2)
+    return VectorField2(grid, from_half_spectrum(uhat))
 
 
 def potential_from_gradient(G: MatrixField2, tol: float = CURL_TOL) -> VectorField2:
@@ -259,19 +279,9 @@ def potential_from_gradient(G: MatrixField2, tol: float = CURL_TOL) -> VectorFie
     live on the torus; callers keep mean(G) as separate metadata.  Raises
     :class:`CurlResidualTooLarge` when G is not a gradient.
     """
-    res = G.row_curl_residual()
-    if res > tol:
-        raise CurlResidualTooLarge(res, tol)
-    g = G.grid
-    dk2 = g.dkx**2 + g.dky**2
-    dk2safe = np.where(dk2 == 0.0, 1.0, dk2)
-    rows = []
-    for i in range(2):
-        ghat = np.fft.fft2(G.values[i], axes=(-2, -1))
-        uhat = (g.dkx * ghat[0] + g.dky * ghat[1]) / (1j * dk2safe)
-        uhat = np.where(dk2 == 0.0, 0.0, uhat)
-        rows.append(np.fft.ifft2(uhat).real)
-    return VectorField2(g, np.stack(rows))
+    ghat = half_spectrum(G.values)
+    check_gradient(G, tol, ghat)
+    return potential_from_spectrum(G.grid, ghat)
 
 
 def det_integral(G: MatrixField2, tol: float = CURL_TOL) -> float:
@@ -282,9 +292,7 @@ def det_integral(G: MatrixField2, tol: float = CURL_TOL) -> float:
     integral vanishes.  Raises :class:`CurlResidualTooLarge` when the row
     curls show G is not a gradient.
     """
-    res = G.row_curl_residual()
-    if res > tol:
-        raise CurlResidualTooLarge(res, tol)
+    check_gradient(G, tol)
     return float(G.grid.cell_area * G.det_values().sum())
 
 

@@ -21,6 +21,8 @@ from .gridfield import (
     ScalarField,
     VectorField2,
     det_integral,
+    from_half_spectrum,
+    half_spectrum,
     helmholtz,
     scaling_sequence,
 )
@@ -84,7 +86,7 @@ def _grid_suite(rng: np.random.Generator) -> list[dict]:
     values = rng.standard_normal((n, n))
     f = ScalarField(grid, values)
     plancherel = abs(f.spectrum().norm() - f.norm_l2()) / max(f.norm_l2(), 1e-300)
-    roundtrip = np.max(np.abs(np.fft.ifft2(np.fft.fft2(values)).real - values))
+    roundtrip = np.max(np.abs(from_half_spectrum(half_spectrum(values)) - values))
 
     z = VectorField2(grid, rng.standard_normal((2, n, n)))
     gp, dp = helmholtz(z)

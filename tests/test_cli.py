@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kornlab.cli import main, parse_profile
 from kornlab.gridfield import PeriodicGrid, ScalarField, save_field
@@ -28,6 +30,30 @@ class TestParseProfile:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_profile("0.2+weird(3t)")
+
+    def test_exponent_coefficients(self):
+        cos_c, sin_c = parse_profile("0.2+1e-3*cos(2t)")
+        assert cos_c == {0: 0.2, 2: 1e-3}
+        assert sin_c == {}
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.dictionaries(st.integers(1, 40), st.floats(allow_nan=False, allow_infinity=False),
+                        max_size=4),
+        st.dictionaries(st.integers(1, 40), st.floats(allow_nan=False, allow_infinity=False),
+                        max_size=4),
+    )
+    def test_repr_round_trip(self, c0, cos_terms, sin_terms):
+        def term(c, fn, k):
+            return f"{'-' if c < 0 else '+'}{abs(c)!r}*{fn}({k}t)"
+
+        text = repr(c0) + "".join(
+            [term(c, "cos", k) for k, c in cos_terms.items()]
+            + [term(c, "sin", k) for k, c in sin_terms.items()]
+        )
+        cos_c, sin_c = parse_profile(text)
+        assert cos_c == {0: c0, **cos_terms}
+        assert sin_c == sin_terms
 
 
 class TestKornCommand:
@@ -77,6 +103,26 @@ class TestKornCommand:
         assert code == 0
         result = json.loads(report.read_text())["result"]
         assert len(result["levels"]) == 1
+
+    def test_nested_flag_gates_monotonicity(self, tmp_path):
+        from kornlab.mesh import save_mesh, unit_square
+
+        mesh_path = tmp_path / "mesh.json"
+        save_mesh(unit_square(4), mesh_path)
+        cases = {
+            "square": (["korn", "--domain", "square", "--refine", "1"], True),
+            "disk": (["korn", "--domain", "disk", "--refine", "2"], False),
+            "file": (["korn", "--mesh-file", str(mesh_path)], False),
+        }
+        for name, (argv, nested) in cases.items():
+            report = tmp_path / f"{name}.json"
+            assert run(argv + ["--report", str(report)]) == 0
+            result = json.loads(report.read_text())["result"]
+            assert result["nested"] is nested
+            if nested:
+                assert result["monotone_nondecreasing"] is True
+            else:
+                assert result["monotone_nondecreasing"] is None
 
     def test_structurally_singular_problem_exits_4(self, tmp_path, capsys):
         # the two-triangle square has no admissible slip fields at all
@@ -187,6 +233,19 @@ def test_thread_cap_env_var(monkeypatch):
 
     assert os.environ["OMP_NUM_THREADS"] == "2"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "8"
+
+
+@pytest.mark.parametrize("argv", [
+    ["korn", "--mesh-file"],
+    ["rigidity", "--alpha-file"],
+    ["shell", "--coeffs"],
+])
+def test_missing_input_file_exits_2(tmp_path, capsys, argv):
+    missing = tmp_path / "absent.json"
+    assert run(argv + [str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kornlab: invalid input: cannot read")
+    assert "absent.json" in err
 
 
 class TestConfigHandling:

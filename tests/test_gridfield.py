@@ -11,6 +11,7 @@ from kornlab.gridfield import (
     VectorField2,
     assert_compact_support,
     det_integral,
+    fft_workers,
     helmholtz,
     load_field,
     potential_from_gradient,
@@ -114,6 +115,54 @@ class TestQuadrature:
         values = rng.standard_normal((grid.n, grid.n))
         back = np.fft.ifft2(np.fft.fft2(values)).real
         assert np.abs(back - values).max() < 1e-12
+
+
+def full_fft_row_curl_residual(G):
+    """Oracle: the row-curl residual from full fft2/ifft2 round trips in real space."""
+    g = G.grid
+    k1d = 2.0 * math.pi * np.fft.fftfreq(g.n, d=g.spacing)
+    k1d[g.n // 2] = 0.0
+    kx, ky = np.meshgrid(k1d, k1d, indexing="ij")
+
+    def deriv(uhat, k):
+        return np.fft.ifft2(1j * k * uhat).real
+
+    worst, scale = 0.0, 0.0
+    for i in range(2):
+        uhat = np.fft.fft2(G.values[i], axes=(-2, -1))
+        curl = deriv(uhat[1], kx) - deriv(uhat[0], ky)
+        worst = max(worst, math.sqrt(g.cell_area * float((curl**2).sum())))
+        grad_sq = sum(float((deriv(uhat[c], k) ** 2).sum()) for c in range(2) for k in (kx, ky))
+        scale += math.sqrt(g.cell_area * grad_sq)
+    return worst / scale
+
+
+class TestHalfSpectrum:
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_row_curl_residual_matches_full_fft_oracle(self, n):
+        gs = PeriodicGrid(n, 7.0)
+        rng = np.random.default_rng(n)
+        sign = (-1.0) ** np.arange(n)
+        fields = [
+            rng.standard_normal((2, 2, n, n)),
+            # content on the Nyquist row and column only
+            sign[:, None] * rng.standard_normal((2, 2, 1, n))
+            + sign[None, :] * rng.standard_normal((2, 2, n, 1)),
+        ]
+        for values in fields:
+            G = MatrixField2(gs, values)
+            oracle = full_fft_row_curl_residual(G)
+            assert abs(G.row_curl_residual() - oracle) <= 1e-12 * oracle
+
+    def test_fft_workers_follow_kornlab_threads(self, monkeypatch):
+        monkeypatch.delenv("KORNLAB_THREADS", raising=False)
+        assert fft_workers() == 1
+        monkeypatch.setenv("KORNLAB_THREADS", "2")
+        assert fft_workers() == 2
+        for bad in ("0", "-1", "two"):
+            monkeypatch.setenv("KORNLAB_THREADS", bad)
+            with pytest.raises(ValueError):
+                fft_workers()
 
 
 class TestHelmholtz:

@@ -81,6 +81,26 @@ class TestSolveG:
                 worst = max(worst, float(np.abs(sol - ghat[:, i, j]).max()))
         assert worst < 1e-12 * max(1.0, float(np.abs(fhat).max()))
 
+    def test_matches_full_plane_multiplier(self):
+        # Oracle on the full fft2 plane, Nyquist lines and blind modes
+        # included: reflection off the lines, the component swap on the
+        # Nyquist column, the sign-adjusted swap on the Nyquist row (corners
+        # included) and the x-axis limit at k = 0.
+        gs = PeriodicGrid(16, 5.0)
+        rng = np.random.default_rng(4)
+        f = VectorField2(gs, rng.standard_normal((2, gs.n, gs.n)))
+        fhat = np.fft.fft2(f.values, axes=(-2, -1))
+        k2 = gs.kx**2 + gs.ky**2
+        k2safe = np.where(k2 == 0.0, 1.0, k2)
+        c1 = np.where(k2 == 0.0, 1.0, (gs.kx**2 - gs.ky**2) / k2safe)
+        c2 = 2.0 * gs.kx * gs.ky / k2safe
+        nyq = gs.n // 2
+        c1[:, nyq], c2[:, nyq] = 1.0, 0.0
+        c1[nyq, :], c2[nyq, :] = -1.0, 0.0
+        ghat = np.stack([-c2 * fhat[0] + c1 * fhat[1], c1 * fhat[0] + c2 * fhat[1]])
+        expected = np.fft.ifft2(ghat, axes=(-2, -1)).real
+        assert np.abs(rg.solve_g(f).values - expected).max() < 1e-12 * np.abs(expected).max()
+
     def test_single_mode_parallel_to_frequency(self):
         # fhat parallel to the frequency: ghat = <khat, fhat> khat_perp.
         gs = PeriodicGrid(32, 8.0)
@@ -267,4 +287,45 @@ class TestSynthesizeExtremal:
     def test_support_violation_rejected(self, grid):
         alpha = rg.gaussian_bump(grid, center=(9.0, 0.0))
         with pytest.raises(ValueError):
+            rg.synthesize_extremal(alpha, mat2.Rotation(0.0))
+
+
+class TestOnePassPipeline:
+    def test_n64_synthesis_transforms_ten_planes_and_checks_once(self, monkeypatch):
+        import numpy.fft
+        import scipy.fft
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(x, *args, **kwargs):
+                x = np.asarray(x)
+                calls.append((name, x.size // (x.shape[-2] * x.shape[-1])))
+                return fn(x, *args, **kwargs)
+            return wrapper
+
+        for module in (numpy.fft, scipy.fft):
+            for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2",
+                         "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        checks = []
+        check = MatrixField2.row_curl_residual
+
+        def counted_check(self, *args, **kwargs):
+            checks.append(1)
+            return check(self, *args, **kwargs)
+
+        monkeypatch.setattr(MatrixField2, "row_curl_residual", counted_check)
+        rg.synthesize_extremal(rg.dipole_bump(PeriodicGrid(64, 20.0)), mat2.Rotation(0.5))
+        # f-hat, g, G-hat, u: every call transforms the two grid axes
+        assert calls == [("rfft2", 2), ("irfft2", 2), ("rfft2", 4), ("irfft2", 2)]
+        assert sum(planes for _, planes in calls) == 10
+        assert len(checks) == 1
+
+    def test_inconsistent_g_is_caught_by_the_single_check(self, grid, monkeypatch):
+        alpha = rg.dipole_bump(grid, amplitude=1.0)
+        bogus = VectorField2(grid, np.stack([rg.gaussian_bump(grid).values,
+                                             np.zeros((grid.n, grid.n))]))
+        monkeypatch.setattr(rg, "solve_g", lambda f: bogus)
+        with pytest.raises(CurlResidualTooLarge):
             rg.synthesize_extremal(alpha, mat2.Rotation(0.0))
