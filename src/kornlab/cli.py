@@ -102,7 +102,7 @@ def _parse_pair(text: str) -> tuple[float, float]:
 
 
 _TERM_RE = re.compile(
-    r"^\s*(?P<coeff>[+-]?\d*\.?\d+(?:[eE][+-]?\d+)?)?\s*\*?\s*"
+    r"^\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d*\.?\d+(?:[eE][+-]?\d+)?)\s*\*?)?\s*"
     r"(?:(?P<fn>cos|sin)\(\s*(?P<k>\d*)\s*\*?\s*t\s*\))?\s*$"
 )
 
@@ -120,8 +120,8 @@ def parse_profile(text: str) -> tuple[dict[int, float], dict[int, float]]:
         m = _TERM_RE.match(piece)
         if not m or (m.group("coeff") is None and m.group("fn") is None):
             raise ValueError(f"cannot parse profile term {piece!r}")
-        coeff = float(m.group("coeff")) if m.group("coeff") else (
-            -1.0 if piece.startswith("-") else 1.0
+        coeff = (-1.0 if m.group("sign") == "-" else 1.0) * (
+            float(m.group("coeff")) if m.group("coeff") else 1.0
         )
         if m.group("fn") is None:
             cos_coeffs[0] = cos_coeffs.get(0, 0.0) + coeff

@@ -31,21 +31,32 @@ class TestParseProfile:
         with pytest.raises(ValueError):
             parse_profile("0.2+weird(3t)")
 
+    def test_bare_sign_terms(self):
+        assert parse_profile("0.2-cos(3t)") == ({0: 0.2, 3: -1.0}, {})
+        assert parse_profile("0.2+sin(t)") == ({0: 0.2}, {1: 1.0})
+        for text in ("0.2+", "0.2-*cos(t)"):
+            with pytest.raises(ValueError, match="cannot parse profile term"):
+                parse_profile(text)
+
     def test_exponent_coefficients(self):
         cos_c, sin_c = parse_profile("0.2+1e-3*cos(2t)")
         assert cos_c == {0: 0.2, 2: 1e-3}
         assert sin_c == {}
 
+    coefficients = st.one_of(st.sampled_from([1.0, -1.0]),
+                             st.floats(allow_nan=False, allow_infinity=False))
+
     @given(
         st.floats(allow_nan=False, allow_infinity=False),
-        st.dictionaries(st.integers(1, 40), st.floats(allow_nan=False, allow_infinity=False),
-                        max_size=4),
-        st.dictionaries(st.integers(1, 40), st.floats(allow_nan=False, allow_infinity=False),
-                        max_size=4),
+        st.dictionaries(st.integers(1, 40), coefficients, max_size=4),
+        st.dictionaries(st.integers(1, 40), coefficients, max_size=4),
     )
     def test_repr_round_trip(self, c0, cos_terms, sin_terms):
         def term(c, fn, k):
-            return f"{'-' if c < 0 else '+'}{abs(c)!r}*{fn}({k}t)"
+            sign = "-" if c < 0 else "+"
+            if abs(c) == 1.0:  # written bare: "+cos(3t)", "-sin(2t)"
+                return f"{sign}{fn}({k}t)"
+            return f"{sign}{abs(c)!r}*{fn}({k}t)"
 
         text = repr(c0) + "".join(
             [term(c, "cos", k) for k, c in cos_terms.items()]
@@ -123,6 +134,30 @@ class TestKornCommand:
                 assert result["monotone_nondecreasing"] is True
             else:
                 assert result["monotone_nondecreasing"] is None
+
+    def test_report_names_solver_path(self, tmp_path):
+        cases = {
+            "dirichlet": (["--domain", "square", "--refine", "3", "--bc", "dirichlet"],
+                          ["dense", "dense", "dense", "shifted"]),
+            "disk": (["--domain", "disk", "--refine", "2"], ["dense", "dense", "symgrad"]),
+        }
+        for name, (argv, solvers) in cases.items():
+            report = tmp_path / f"{name}.json"
+            assert run(["korn", *argv, "--report", str(report)]) == 0
+            levels = json.loads(report.read_text())["result"]["levels"]
+            assert [lvl["solver"] for lvl in levels] == solvers
+
+    def test_unconverged_iteration_exits_4(self, monkeypatch, capsys):
+        from functools import partial
+
+        from kornlab import kornfem
+
+        monkeypatch.setattr(kornfem, "korn_constant",
+                            partial(kornfem.korn_constant, max_iter=3))
+        code = run(["korn", "--domain", "disk", "--refine", "3"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "did not converge" in err and "dofs" in err and "residual" in err
 
     def test_structurally_singular_problem_exits_4(self, tmp_path, capsys):
         # the two-triangle square has no admissible slip fields at all

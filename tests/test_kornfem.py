@@ -261,10 +261,62 @@ class TestKornConstant:
         est = kf.korn_constant(kf.builtin_domain(domain, level=level), bc="tangential")
         assert est.kappa_sq >= 2.0 - 0.05
 
+    def test_non_convergence_raises_with_counts(self):
+        # three steps leave the disk far from converged (residual ~0.8)
+        with pytest.raises(SolverFailure,
+                           match=r"did not converge: \d+ dofs, 3 iterations.*residual"):
+            kf.korn_constant(disk(4), bc="tangential", max_iter=3)
+
     def test_builtin_square_level_zero_is_two_triangles(self):
         mesh = kf.builtin_domain("square", level=0)
         assert len(mesh.triangles) == 2
         assert len(mesh.boundary_edges) == 4
+
+
+class TestShiftedPreconditioner:
+    @pytest.mark.parametrize(
+        "mesh_factory,bc,solver",
+        [
+            (lambda: unit_square(8), "dirichlet", "shifted"),
+            (lambda: disk(3), "dirichlet", "shifted"),
+            (lambda: unit_square(8), "tangential", "shifted"),
+            (lambda: disk(3), "tangential", "symgrad"),
+            (lambda: annulus(0.6, 1.0, 24, 2), "tangential", "symgrad"),
+            (lambda: kf.builtin_domain("shell", 0), "tangential", "symgrad"),
+        ],
+        ids=["square-dirichlet", "disk-dirichlet", "square-slip", "disk-slip",
+             "annulus-slip", "shell-slip"],
+    )
+    def test_certification(self, mesh_factory, bc, solver):
+        # certified: no curl downdate, no deflation, identity on the dofs;
+        # the rotational disk and annulus carry a downdate, the shell's
+        # curved slip boundary breaks the identity
+        est = kf.korn_constant(mesh_factory(), bc=bc, dense_threshold=0)
+        assert est.solver == solver
+
+    def test_curved_slip_boundary_breaks_identity(self):
+        mesh = kf.builtin_domain("shell", 0)
+        gap = kf.null_lagrangian_gap(kf.assemble(mesh), kf.tangential_constraints(mesh).basis)
+        assert gap > 1e3 * kf.IDENTITY_TOL
+
+    def test_dirichlet_level_six_from_prolonged_seed(self):
+        coarse, fine = kf.korn_sweep("square", [5, 6], bc="dirichlet")
+        assert fine.solver == "shifted"
+        assert fine.iterations <= 40
+        assert coarse.kappa_sq <= fine.kappa_sq <= 2.0
+
+    def test_slip_square_matches_dense_top(self):
+        # top eigenvalue 2 is degenerate here, and the shifted form is
+        # singular up to the 2 delta B term on its eigenspace
+        mesh = unit_square(16)
+        est = kf.korn_constant(mesh, bc="tangential")
+        assert est.solver == "shifted"
+        pencil = kf._Pencil(kf.assemble(mesh), kf.tangential_constraints(mesh), None, [])
+        vals, _ = kf._dense_top(pencil, 1)
+        assert abs(est.kappa_sq - vals[0]) <= 1e-8 * vals[0]
+        vec = kf.tangential_constraints(mesh).basis.T @ est.maximizer
+        rho = (vec @ (pencil.A @ vec)) / (vec @ (pencil.B @ vec))
+        assert abs(rho - est.kappa_sq) <= 1e-12 * est.kappa_sq
 
 
 class TestEvaluateFieldRatio:
