@@ -124,11 +124,20 @@ def solve_g(f: VectorField2) -> VectorField2:
     return VectorField2(grid, from_half_spectrum(ghat))
 
 
-def _gradient(alpha: ScalarField, g: VectorField2, r0: mat2.Rotation) -> MatrixField2:
-    ca, sa = np.cos(alpha.values), np.sin(alpha.values)
+def _gradient(f: VectorField2, g: VectorField2, r0: mat2.Rotation) -> MatrixField2:
+    """R0 (R(alpha) + [[a, b], [b, -a]]) from f = (sin alpha, cos alpha - 1)
+    and g = (a, b), written plane by plane."""
+    sa, cm1 = f.values
     a, b = g.values
-    base = np.stack([np.stack([ca + a, -sa + b]), np.stack([sa + b, ca - a])])
-    return MatrixField2(alpha.grid, np.einsum("ik,kjxy->ijxy", r0.as_array(), base))
+    ca = cm1 + 1.0
+    base = ((ca + a, b - sa), (sa + b, ca - a))
+    r = r0.as_array()
+    G = np.empty((2, 2) + a.shape)
+    for i in range(2):
+        for j in range(2):
+            np.multiply(r[i, 0], base[0][j], out=G[i, j])
+            G[i, j] += r[i, 1] * base[1][j]
+    return MatrixField2(f.grid, G)
 
 
 def assemble_gradient(
@@ -143,7 +152,7 @@ def assemble_gradient(
     SO(2) and rotates the anticonformal coefficient vector by R0.  The
     consistency of (alpha, g) is re-checked through the row curls.
     """
-    G = _gradient(alpha, g, r0)
+    G = _gradient(build_f(alpha), g, r0)
     check_gradient(G, tol)
     return G
 
@@ -206,7 +215,7 @@ def synthesize_extremal(
     assert_compact_support(alpha)
     f = build_f(alpha)
     g = solve_g(f)
-    G = _gradient(alpha, g, r0)
+    G = _gradient(f, g, r0)
     # one transform and one curl check, shared by the certificate and potential
     ghat = half_spectrum(G.values)
     report = _certificate(G, check_gradient(G, CURL_TOL, ghat))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kornlab import kornfem as kf
 from kornlab.errors import InfiniteQuotient, SolverFailure
@@ -119,6 +120,44 @@ class TestConstraints:
         cs = kf.tangential_constraints(mesh)
         gram = (cs.basis.T @ cs.basis).toarray()
         np.testing.assert_allclose(gram, np.eye(cs.dof_count), atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "mesh_factory,bc",
+        [
+            (lambda: unit_square(8), "dirichlet"),
+            (lambda: disk(3), "tangential"),
+            (lambda: annulus(0.6, 1.0, 24, 2), "tangential"),
+            (lambda: kf.builtin_domain("shell", 0), "tangential"),
+        ],
+        ids=["square-dirichlet", "disk-slip", "annulus-slip", "shell-slip"],
+    )
+    def test_basis_matches_vertex_loop(self, mesh_factory, bc):
+        # the per-vertex loop the vectorized builder replaced, as reference
+        mesh = mesh_factory()
+        cs = (kf.tangential_constraints(mesh) if bc == "tangential"
+              else kf.dirichlet_constraints(mesh))
+        rows, cols, vals = [], [], []
+        col = 0
+        for v in range(len(mesh.vertices)):
+            kind = cs.kinds.get(v)
+            if kind is None:
+                for c in range(2):
+                    rows.append(2 * v + c)
+                    cols.append(col)
+                    vals.append(1.0)
+                    col += 1
+            elif kind[0] == "normal":
+                n = kind[1]
+                rows.extend([2 * v, 2 * v + 1])
+                cols.extend([col, col])
+                vals.extend([-n[1], n[0]])
+                col += 1
+        ref = sp.csr_matrix((vals, (rows, cols)), shape=(2 * len(mesh.vertices), col))
+        assert cs.basis.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(cs.basis, name), getattr(ref, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestDetectLOmega:
@@ -360,3 +399,105 @@ class TestEvaluateFieldRatio:
         # the field vanishes on the boundary: tangency residual tiny
         res = kf.evaluate_field_ratio(unit_square(16), u_fn, grad_fn)
         assert res["tangency_residual"] < 1e-12
+
+
+def _undeflated_disk_pencil():
+    mesh = disk(3)
+    return mesh, kf._Pencil(kf.assemble(mesh), kf.tangential_constraints(mesh), None, [])
+
+
+class TestBlockKernel:
+    def test_b_orthonormalize_drops_exactly_the_degenerate_columns(self):
+        mesh, pencil = _undeflated_disk_pencil()
+        center = kf.detect_L_omega(mesh).center
+        rot = kf._rotation_dofs(mesh, kf.tangential_constraints(mesh), center)
+        # B-null up to roundoff; scaled so that its roundoff B-norm sits far
+        # below the 1e-10 drop bound (it is about 1e-8 at unit size)
+        rot *= 1e-3 / np.linalg.norm(rot)
+        x = np.random.default_rng(1).standard_normal((pencil.n, 3))
+        # a multiple of x1, the rotation, and a column 1e-6 away from span{x0}:
+        # the Gram matrix alone resolves neither the multiple's zero norm nor the
+        # last column's direction, which the second pass must restore
+        V = np.column_stack([x[:, 0], x[:, 1], 3.0 * x[:, 1], rot, x[:, 0] + 1e-6 * x[:, 2]])
+        Q = kf._b_orthonormalize(pencil, V)
+        assert Q.shape == (pencil.n, 3)
+        np.testing.assert_allclose(Q.T @ (pencil.B @ Q), np.eye(3), atol=1e-12)
+        first = V[:, 0] / np.linalg.norm(V[:, 0])
+        assert abs(abs(first @ Q[:, 0]) / np.linalg.norm(Q[:, 0]) - 1.0) < 1e-12
+        # the kept columns span the non-degenerate input columns
+        coeff = np.linalg.lstsq(Q, x, rcond=None)[0]
+        assert np.linalg.norm(Q @ coeff - x) <= 1e-8 * np.linalg.norm(x)
+
+    def test_b_orthonormalize_all_degenerate_gives_empty_block(self):
+        _, pencil = _undeflated_disk_pencil()
+        assert kf._b_orthonormalize(pencil, np.zeros((pencil.n, 2))).shape == (pencil.n, 0)
+
+    def test_one_block_solve_per_iteration(self):
+        mesh = unit_square(16)
+        pencil = kf._Pencil(kf.assemble(mesh), kf.dirichlet_constraints(mesh), None, [])
+        pencil.precondition(np.zeros((pencil.n, 1)))  # factor once
+        solve, shapes = pencil._solve, []
+
+        def counting(R):
+            shapes.append(R.shape)
+            return solve(R)
+
+        pencil._solve = counting
+        rng = np.random.default_rng(0)
+        seeds = [kf._bump_seed(mesh, kf.dirichlet_constraints(mesh))]
+        seeds += [rng.standard_normal(pencil.n) for _ in range(2)]
+        _, _, iterations, converged = kf._block_top(pencil, seeds, 1e-10, 400)
+        assert converged
+        assert shapes == [(pencil.n, 3)] * iterations
+
+    def test_singular_definite_form_raises(self):
+        # B is singular along the undeflated rotation; the unpivoted factor
+        # still completes, with a roundoff-sized pivot
+        _, pencil = _undeflated_disk_pencil()
+        R = np.random.default_rng(0).standard_normal((pencil.n, 3))
+        with pytest.raises(SolverFailure, match="singular symmetric-gradient form"):
+            pencil.precondition(R)
+
+    def test_thin_shell_converges(self):
+        # B is badly conditioned on the thin shell: with a single
+        # Gram-Schmidt pass the block loses B-orthogonality, and the
+        # iteration stalls at residual 6e-5 (level 1) or runs out of steps
+        est = kf.korn_constant(kf.builtin_domain("shell", 2), bc="tangential")
+        assert est.iterations < 400
+        assert est.eig_residual <= 1e-7
+
+    def test_dense_path_value_pinned(self):
+        est = kf.korn_constant(unit_square(8), bc="dirichlet")
+        assert est.solver == "dense"
+        assert abs(est.kappa_sq - 1.979012418507) <= 1e-11
+
+
+# Per-level kappa^2 and iteration counts of the stock sweeps, as computed
+# before the eigen kernel was blocked.
+SWEEP_PINS = {
+    ("square", "dirichlet"): [
+        (1.6, 0), (1.9067168808452177, 0), (1.9790124185070403, 0),
+        (1.9949429489580985, 11), (1.9987680692111798, 21), (1.9996958014102642, 13),
+    ],
+    ("square", "tangential"): [
+        (2.0, 0), (1.9999999999999996, 0), (2.0000000000000013, 0), (2.0000000000000013, 3),
+        (2.0000000000000004, 3), (2.0000000000000093, 3), (2.000000000000006, 3),
+    ],
+    ("disk", "tangential"): [
+        (1.9506093398208024, 0), (3.8913728339307885, 0), (3.971604327031767, 11),
+        (3.992792349750504, 11), (3.9981893936044433, 12),
+    ],
+    ("annulus", "tangential"): [
+        (3.9458929376383285, 0), (3.977146302941696, 11), (3.98778778954525, 11),
+        (3.992212442150958, 11),
+    ],
+}
+
+
+@pytest.mark.parametrize("domain,bc", list(SWEEP_PINS), ids=str)
+def test_sweep_values_and_iterations_pinned(domain, bc):
+    pins = SWEEP_PINS[(domain, bc)]
+    estimates = kf.korn_sweep(domain, list(range(1, len(pins) + 1)), bc=bc)
+    assert [e.iterations for e in estimates] == [it for _, it in pins]
+    for est, (kappa_sq, _) in zip(estimates, pins):
+        assert abs(est.kappa_sq - kappa_sq) <= 1e-10
