@@ -5,6 +5,12 @@ owned by exactly one triangle, traversed with the interior on the left, so
 the outward normal of a directed boundary edge (a, b) is the right-hand
 rotation of b - a.  This orients inner loops of multiply connected domains
 (annuli, shells) correctly without any convexity assumption.
+
+The structured generators (square, radial bands) number their vertices on a
+grid and split all cells along the same diagonal at once (``_split_quads``).
+All edge topology comes from one edge table (``_edge_table``: directed
+edges and how many triangles share each), read by the boundary extraction,
+by validation and by the disk's boundary projection.
 """
 
 from __future__ import annotations
@@ -29,33 +35,33 @@ class TriMesh:
     boundary_normals: np.ndarray = field(init=False)  # (E, 2) outward unit normals
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float)
-        self.triangles = np.asarray(self.triangles, dtype=np.int64)
-        self._orient_ccw()
+        self.vertices = _as_array(self.vertices, "vertices must be an array of 2D points", float)
+        self.triangles = _as_array(self.triangles, "triangles must be index triples")
+        self._check_indices()
+        self.triangles = self.triangles.astype(np.int64, copy=False)
+        flip = self.areas() < 0.0  # store counterclockwise
+        self.triangles[flip] = self.triangles[flip][:, [0, 2, 1]]
         self.boundary_edges, self.boundary_normals = self._boundary()
 
     # -- construction helpers ------------------------------------------------
 
-    def _orient_ccw(self):
-        v = self.vertices
-        t = self.triangles
-        p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-        twice_area = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (
-            p1[:, 1] - p0[:, 1]
-        ) * (p2[:, 0] - p0[:, 0])
-        flip = twice_area < 0.0
-        if np.any(flip):
-            self.triangles[flip, 1], self.triangles[flip, 2] = (
-                self.triangles[flip, 2].copy(),
-                self.triangles[flip, 1].copy(),
-            )
+    def _check_indices(self):
+        """Shape, integer and range checks; everything else may index."""
+        v, t = self.vertices, self.triangles
+        if v.ndim != 2 or v.shape[1] != 2:
+            raise MeshValidationError("vertices must be an array of 2D points")
+        if t.size == 0:
+            raise MeshValidationError("mesh has no triangles")
+        if t.ndim != 2 or t.shape[1] != 3:
+            raise MeshValidationError("triangles must be index triples")
+        if not np.issubdtype(t.dtype, np.integer):
+            raise MeshValidationError("triangle indices must be integers")
+        if t.min() < 0 or t.max() >= len(v):
+            raise MeshValidationError("triangle indices out of vertex range")
 
     def _boundary(self):
-        t = self.triangles
-        directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        key = directed.min(axis=1).astype(np.int64) * (self.vertices.shape[0] + 1) + directed.max(axis=1)
-        _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
-        boundary = directed[counts[inverse] == 1]
+        directed, shared = _edge_table(self.triangles, len(self.vertices))
+        boundary = directed[shared == 1]
         d = self.vertices[boundary[:, 1]] - self.vertices[boundary[:, 0]]
         lengths = np.linalg.norm(d, axis=1)
         lengths = np.where(lengths == 0.0, 1.0, lengths)
@@ -104,24 +110,23 @@ class TriMesh:
 
     def validate(self) -> None:
         """Raise MeshValidationError naming the first violated invariant."""
+        self._check_indices()
         v, t = self.vertices, self.triangles
-        if v.ndim != 2 or v.shape[1] != 2:
-            raise MeshValidationError("vertices must be an array of 2D points")
         if not np.all(np.isfinite(v)):
             raise MeshValidationError("vertex coordinates must be finite")
-        if t.ndim != 2 or t.shape[1] != 3:
-            raise MeshValidationError("triangles must be index triples")
-        if t.min(initial=0) < 0 or t.max(initial=-1) >= len(v):
-            raise MeshValidationError("triangle indices out of vertex range")
-        areas = self.areas()
-        if np.any(areas <= 0.0):
+        if np.any(self.areas() <= 0.0):
             raise MeshValidationError("degenerate triangle with non-positive area")
 
-        directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        key = directed.min(axis=1).astype(np.int64) * (len(v) + 1) + directed.max(axis=1)
-        _, counts = np.unique(key, return_counts=True)
-        if np.any(counts > 2):
+        # edge table of the current triangles, which may have been replaced
+        directed, shared = _edge_table(t, len(v))
+        if np.any(shared > 2):
             raise MeshValidationError("non-conforming mesh: edge shared by more than two triangles")
+        on_boundary = shared == 1
+        starts = np.bincount(directed[on_boundary, 0], minlength=len(v))
+        if np.any(starts > 1):
+            raise MeshValidationError(f"non-manifold boundary vertex {np.argmax(starts > 1)}")
+        if not np.array_equal(self.boundary_edges, directed[on_boundary]):
+            raise MeshValidationError("stored boundary edges do not match the triangles")
 
         self.boundary_loops()  # raises when loops are not closed
 
@@ -129,25 +134,42 @@ class TriMesh:
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise MeshValidationError("boundary normals are not unit length")
 
-        # Outward check: each boundary edge belongs to one triangle; the
-        # normal must point away from that triangle's centroid.
-        owner = self._boundary_edge_owners()
+        # Outward check: the normal of each boundary edge must point away
+        # from the centroid of the one triangle that owns it.
+        owner = np.flatnonzero(on_boundary) % len(t)
         centroids = v[t[owner]].mean(axis=1)
         mids = 0.5 * (v[self.boundary_edges[:, 0]] + v[self.boundary_edges[:, 1]])
         if np.any(np.einsum("ij,ij->i", self.boundary_normals, mids - centroids) <= 0.0):
             raise MeshValidationError("boundary normal points into the domain")
 
-    def _boundary_edge_owners(self) -> np.ndarray:
-        t = self.triangles
-        directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        owners = np.tile(np.arange(len(t)), 3)
-        lookup = {(int(a), int(b)): int(o) for (a, b), o in zip(directed, owners)}
-        return np.array([lookup[(int(a), int(b))] for a, b in self.boundary_edges])
+
+def _as_array(data, message: str, dtype=None) -> np.ndarray:
+    try:
+        return np.asarray(data, dtype=dtype)
+    except (TypeError, ValueError):  # ragged or non-numeric input
+        raise MeshValidationError(message) from None
+
+
+def _edge_table(triangles: np.ndarray, nverts: int):
+    """Directed edges ab, bc, ca of all triangles (row k belongs to triangle
+    k % T) and, per row, the number of triangles sharing its undirected edge."""
+    t = np.asarray(triangles, dtype=np.int64)
+    directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    key = directed.min(axis=1) * (nverts + 1) + directed.max(axis=1)
+    _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
+    return directed, counts[inverse]
 
 
 # ---------------------------------------------------------------------------
 # Generators.
 # ---------------------------------------------------------------------------
+
+def _split_quads(ids: np.ndarray) -> np.ndarray:
+    """Two triangles per cell of a vertex-id grid, cut along the
+    ids[i, j]-ids[i+1, j+1] diagonal: shape (rows, cols, 2, 3), row-major."""
+    a, b, c, d = ids[:-1, :-1], ids[1:, :-1], ids[:-1, 1:], ids[1:, 1:]
+    return np.stack([a, b, d, a, d, c], axis=-1).reshape(*a.shape, 2, 3)
+
 
 def unit_square(cells: int) -> TriMesh:
     """Structured unit-square mesh with ``cells`` x ``cells`` squares, split
@@ -158,18 +180,8 @@ def unit_square(cells: int) -> TriMesh:
     xs = np.linspace(0.0, 1.0, m + 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.stack([X.ravel(), Y.ravel()], axis=1)
-
-    def vid(i, j):
-        return i * (m + 1) + j
-
-    tris = []
-    for i in range(m):
-        for j in range(m):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append([v00, v10, v11])
-            tris.append([v00, v11, v01])
-    return TriMesh(vertices, np.array(tris), region_label=f"square:{m}")
+    ids = np.arange((m + 1) ** 2).reshape(m + 1, m + 1)
+    return TriMesh(vertices, _split_quads(ids).reshape(-1, 3), region_label=f"square:{m}")
 
 
 def disk(level: int, center: tuple[float, float] = (0.0, 0.0), radius: float = 1.0) -> TriMesh:
@@ -184,33 +196,25 @@ def disk(level: int, center: tuple[float, float] = (0.0, 0.0), radius: float = 1
     triangles = np.array([[0, 1 + i, 1 + (i + 1) % 6] for i in range(6)])
     for _ in range(level):
         vertices, triangles = _subdivide(vertices, triangles)
-        r = np.linalg.norm(vertices, axis=1)
-        mesh_tmp = TriMesh(vertices, triangles)
-        on_boundary = np.zeros(len(vertices), dtype=bool)
-        on_boundary[mesh_tmp.boundary_vertices()] = True
-        scale = np.where(on_boundary & (r > 0.0), 1.0 / np.where(r == 0.0, 1.0, r), 1.0)
-        vertices = vertices * scale[:, None]
+        directed, shared = _edge_table(triangles, len(vertices))
+        bnd = np.unique(directed[shared == 1])
+        vertices[bnd] *= (1.0 / np.linalg.norm(vertices[bnd], axis=1))[:, None]
     vertices = radius * vertices + np.asarray(center)[None, :]
     return TriMesh(vertices, triangles, region_label=f"disk:{level}")
 
 
 def _subdivide(vertices: np.ndarray, triangles: np.ndarray):
-    """Uniform 1-to-4 midpoint subdivision."""
-    edge_ids: dict[tuple[int, int], int] = {}
-    verts = [tuple(p) for p in vertices]
-
-    def midpoint(a: int, b: int) -> int:
-        key = (min(a, b), max(a, b))
-        if key not in edge_ids:
-            verts.append(tuple(0.5 * (vertices[a] + vertices[b])))
-            edge_ids[key] = len(verts) - 1
-        return edge_ids[key]
-
-    new_tris = []
-    for a, b, c in triangles:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        new_tris.extend([[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]])
-    return np.array(verts), np.array(new_tris)
+    """Uniform 1-to-4 midpoint subdivision; midpoints are numbered in the
+    order their edges first appear (ab, bc, ca per triangle)."""
+    edges = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    key = edges.min(axis=1) * len(vertices) + edges.max(axis=1)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    ab, bc, ca = (len(vertices) + np.argsort(np.argsort(first))[inverse]).reshape(-1, 3).T
+    a, b, c = triangles.T
+    ends = edges[np.sort(first)]
+    vertices = np.concatenate([vertices, 0.5 * (vertices[ends[:, 0]] + vertices[ends[:, 1]])])
+    new_tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
+    return vertices, new_tris.reshape(-1, 3)
 
 
 def annulus(
@@ -247,24 +251,17 @@ def radial_band(
     r_out = np.asarray(outer_fn(theta), dtype=float)
     if np.any(r_in <= 0.0) or np.any(r_out - r_in <= 0.0):
         raise MeshValidationError("band radii must satisfy 0 < inner < outer")
-    verts = []
-    for j in range(radial + 1):
-        s = j / radial
-        r = (1.0 - s) * r_in + s * r_out
-        verts.append(np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1))
-    vertices = np.concatenate(verts) + np.asarray(center)[None, :]
-
-    def vid(i, j):
-        return j * angular + (i % angular)
-
-    tris = []
-    for j in range(radial):
-        for i in range(angular):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append([v00, v10, v11])
-            tris.append([v00, v11, v01])
-    return TriMesh(vertices, np.array(tris), region_label=label)
+    s = (np.arange(radial + 1) / radial)[:, None]
+    r = (1.0 - s) * r_in + s * r_out
+    vertices = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1).reshape(-1, 2)
+    vertices = vertices + np.asarray(center)[None, :]
+    # Layer j holds ids j*angular ... j*angular + angular - 1; the first id
+    # column appended again closes the angle.  Cells go layer by layer, each
+    # cut with its angular step first.
+    ids = np.arange((radial + 1) * angular).reshape(radial + 1, angular)
+    ids = np.concatenate([ids, ids[:, :1]], axis=1)
+    tris = _split_quads(ids.T).swapaxes(0, 1).reshape(-1, 3)
+    return TriMesh(vertices, tris, region_label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +282,11 @@ def load_mesh(path) -> TriMesh:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise MeshValidationError(f"mesh file is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise MeshValidationError("mesh file must hold a JSON object")
     for key in ("vertices", "triangles"):
         if key not in payload:
             raise MeshValidationError(f"mesh file misses required key {key!r}")
-    mesh = TriMesh(
-        np.asarray(payload["vertices"], dtype=float),
-        np.asarray(payload["triangles"], dtype=np.int64),
-        region_label="file",
-    )
+    mesh = TriMesh(payload["vertices"], payload["triangles"], region_label="file")
     mesh.validate()
     return mesh

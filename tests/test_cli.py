@@ -283,6 +283,39 @@ def test_missing_input_file_exits_2(tmp_path, capsys, argv):
     assert "absent.json" in err
 
 
+_SQUARE_VERTICES = [[0, 0], [1, 0], [0, 1], [1, 1]]
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"vertices": _SQUARE_VERTICES, "triangles": [[0, 1]]}, "index triples"),
+    ({"vertices": _SQUARE_VERTICES, "triangles": [[0, 1, 2], [1, 3]]}, "index triples"),
+    ({"vertices": _SQUARE_VERTICES, "triangles": [[0, 1, 7]]}, "out of vertex range"),
+    ({"vertices": _SQUARE_VERTICES, "triangles": [[0, 1, -1]]}, "out of vertex range"),
+    ({"vertices": _SQUARE_VERTICES, "triangles": []}, "no triangles"),
+    ({"vertices": _SQUARE_VERTICES, "triangles": [[0, 1, 2.5], [1, 3, 2]]}, "integers"),
+    ({"vertices": [[0], [1], [2]], "triangles": [[0, 1, 2]]}, "2D points"),
+    (7, "JSON object"),
+], ids=["two-indices", "ragged", "past-end", "negative", "empty", "non-integer",
+        "1d-vertices", "not-an-object"])
+def test_malformed_mesh_file_names_defect(tmp_path, capsys, payload, message):
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(payload))
+    assert run(["korn", "--mesh-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kornlab: invalid input:")
+    assert message in err
+
+
+def test_bow_tie_mesh_file_names_vertex(tmp_path, capsys):
+    path = tmp_path / "bowtie.json"
+    path.write_text(json.dumps({
+        "vertices": [[0, 0], [1, 0], [1, 1], [-1, 0], [-1, -1]],
+        "triangles": [[0, 1, 2], [0, 3, 4]],
+    }))
+    assert run(["korn", "--mesh-file", str(path)]) == 2
+    assert "non-manifold boundary vertex 0" in capsys.readouterr().err
+
+
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "cfg.json"

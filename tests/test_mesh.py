@@ -1,8 +1,132 @@
+import math
+
 import numpy as np
 import pytest
 
 from kornlab.errors import MeshValidationError
-from kornlab.mesh import TriMesh, annulus, disk, load_mesh, save_mesh, unit_square
+from kornlab.mesh import (
+    TriMesh, annulus, disk, load_mesh, radial_band, save_mesh, unit_square,
+)
+
+
+# ---------------------------------------------------------------------------
+# Loop oracles: the cell-by-cell generators the array code must reproduce.
+# ---------------------------------------------------------------------------
+
+def loop_unit_square(m):
+    xs = np.linspace(0.0, 1.0, m + 1)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    vertices = np.stack([X.ravel(), Y.ravel()], axis=1)
+
+    def vid(i, j):
+        return i * (m + 1) + j
+
+    tris = []
+    for i in range(m):
+        for j in range(m):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            tris.append([v00, v10, v11])
+            tris.append([v00, v11, v01])
+    return vertices, np.array(tris)
+
+
+def loop_radial_band(inner_fn, outer_fn, angular, radial, center):
+    theta = 2.0 * math.pi * np.arange(angular) / angular
+    r_in, r_out = inner_fn(theta), outer_fn(theta)
+    verts = []
+    for j in range(radial + 1):
+        s = j / radial
+        r = (1.0 - s) * r_in + s * r_out
+        verts.append(np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1))
+    vertices = np.concatenate(verts) + np.asarray(center)[None, :]
+
+    def vid(i, j):
+        return j * angular + (i % angular)
+
+    tris = []
+    for j in range(radial):
+        for i in range(angular):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            tris.append([v00, v10, v11])
+            tris.append([v00, v11, v01])
+    return vertices, np.array(tris)
+
+
+def loop_subdivide(vertices, triangles):
+    edge_ids = {}
+    verts = [tuple(p) for p in vertices]
+
+    def midpoint(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in edge_ids:
+            verts.append(tuple(0.5 * (vertices[a] + vertices[b])))
+            edge_ids[key] = len(verts) - 1
+        return edge_ids[key]
+
+    new_tris = []
+    for a, b, c in triangles:
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        new_tris.extend([[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]])
+    return np.array(verts), np.array(new_tris)
+
+
+def loop_boundary_edges(triangles):
+    """Directed edges (all ab, then bc, then ca) of edges owned once."""
+    directed = [(t[k], t[(k + 1) % 3]) for k in range(3) for t in triangles.tolist()]
+    count = {}
+    for a, b in directed:
+        count[(min(a, b), max(a, b))] = count.get((min(a, b), max(a, b)), 0) + 1
+    return np.array([e for e in directed if count[(min(e), max(e))] == 1])
+
+
+def loop_disk(level):
+    angles = np.arange(6) * (math.pi / 3.0)
+    vertices = np.concatenate(
+        [np.zeros((1, 2)), np.stack([np.cos(angles), np.sin(angles)], axis=1)]
+    )
+    triangles = np.array([[0, 1 + i, 1 + (i + 1) % 6] for i in range(6)])
+    for _ in range(level):
+        vertices, triangles = loop_subdivide(vertices, triangles)
+        r = np.linalg.norm(vertices, axis=1)
+        on_boundary = np.zeros(len(vertices), dtype=bool)
+        on_boundary[loop_boundary_edges(triangles).ravel()] = True
+        scale = np.where(on_boundary & (r > 0.0), 1.0 / np.where(r == 0.0, 1.0, r), 1.0)
+        vertices = vertices * scale[:, None]
+    return vertices, triangles
+
+
+def assert_mesh_equals(mesh, vertices, triangles):
+    """Bitwise equality with a loop-built mesh (stored counterclockwise)."""
+    ref = TriMesh(vertices, triangles)
+    assert np.array_equal(mesh.vertices, vertices)
+    assert np.array_equal(mesh.triangles, ref.triangles)
+    assert np.array_equal(mesh.boundary_edges, loop_boundary_edges(ref.triangles))
+    assert np.array_equal(mesh.boundary_normals, ref.boundary_normals)
+
+
+class TestGeneratorsMatchLoops:
+    @pytest.mark.parametrize("cells", [1, 2, 5, 16])
+    def test_unit_square(self, cells):
+        assert_mesh_equals(unit_square(cells), *loop_unit_square(cells))
+
+    @pytest.mark.parametrize("angular", [3, 16])
+    @pytest.mark.parametrize("radial", [1, 3])
+    def test_radial_band(self, angular, radial):
+        inner = lambda t: 0.5 + 0.1 * np.cos(t)
+        outer = lambda t: 1.0 + 0.05 * np.sin(2 * t)
+        mesh = radial_band(inner, outer, angular=angular, radial=radial, center=(0.3, -0.2))
+        assert_mesh_equals(mesh, *loop_radial_band(inner, outer, angular, radial, (0.3, -0.2)))
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+    def test_disk(self, level):
+        assert_mesh_equals(disk(level), *loop_disk(level))
+
+    def test_clockwise_input_is_stored_counterclockwise(self):
+        mesh = TriMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 2, 1]])
+        assert mesh.triangles.tolist() == [[0, 1, 2]]
+        assert mesh.areas()[0] == 0.5
 
 
 class TestSquare:
@@ -87,6 +211,36 @@ class TestValidation:
         mesh.triangles = np.array([[0, 1, 9]])
         with pytest.raises(MeshValidationError, match="range"):
             mesh.validate()
+
+
+    def test_flipped_normal_points_inward(self):
+        mesh = disk(2)
+        mesh.boundary_normals[5] *= -1.0
+        with pytest.raises(MeshValidationError, match="points into the domain"):
+            mesh.validate()
+
+    def test_stored_boundary_must_match_triangles(self):
+        mesh = unit_square(2)
+        mesh.boundary_edges = mesh.boundary_edges[::-1]
+        with pytest.raises(MeshValidationError, match="do not match"):
+            mesh.validate()
+
+    def test_bow_tie_names_the_shared_vertex(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [3.0, 1.0], [2.0, 2.0]])
+        TriMesh(verts, np.array([[0, 1, 2], [1, 3, 2], [2, 3, 4]])).validate()
+        bow_tie = TriMesh(verts, np.array([[0, 1, 2], [2, 3, 4]]))
+        with pytest.raises(MeshValidationError, match="non-manifold boundary vertex 2"):
+            bow_tie.validate()
+
+    @pytest.mark.parametrize("triangles, message", [
+        ([[0, 1]], "index triples"),
+        ([], "no triangles"),
+        ([[0, 1, 2.5]], "integers"),
+        ([[0, 1, 3]], "range"),
+    ])
+    def test_malformed_triangles_rejected_at_construction(self, triangles, message):
+        with pytest.raises(MeshValidationError, match=message):
+            TriMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], triangles)
 
 
 class TestMeshIO:
