@@ -132,6 +132,16 @@ def parse_profile(text: str) -> tuple[dict[int, float], dict[int, float]]:
     return cos_coeffs, sin_coeffs
 
 
+def _coeff_map(terms, part: str) -> dict[int, float]:
+    """The ``part`` ("cos" or "sin") of a coeffs file as {wavenumber: coefficient}."""
+    if not isinstance(terms, dict):
+        raise ValueError(f"coeffs file: {part!r} must be an object {{k: c}}, got {terms!r}")
+    try:
+        return {int(k): float(c) for k, c in terms.items()}
+    except TypeError as exc:
+        raise ValueError(f"coeffs file: {part!r} coefficients must be numbers: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -152,6 +162,8 @@ def cmd_korn(args: argparse.Namespace) -> int:
         mesh = _load(load_mesh, config["mesh_file"], "mesh file")
         estimates = [kornfem.korn_constant(mesh, bc=config["bc"], tol=config["tol"])]
     else:
+        if int(config["refine"]) < 0:
+            raise ValueError(f"refine must be a non-negative integer, got {config['refine']}")
         # level 1 upward: level-0 stock meshes have no admissible fields
         levels = list(range(1, int(config["refine"]) + 2))
         estimates = kornfem.korn_sweep(
@@ -229,8 +241,9 @@ def cmd_shell(args: argparse.Namespace) -> int:
 
     if config.get("coeffs"):
         raw = _load(_read_json, config["coeffs"], "coeffs file")
-        cos_coeffs = {int(k): float(v) for k, v in raw.get("cos", {}).items()}
-        sin_coeffs = {int(k): float(v) for k, v in raw.get("sin", {}).items()}
+        if not isinstance(raw, dict):
+            raise ValueError("coeffs file must hold a JSON object {cos: {k: c}, sin: {k: c}}")
+        cos_coeffs, sin_coeffs = (_coeff_map(raw.get(part, {}), part) for part in ("cos", "sin"))
     elif config.get("profile"):
         cos_coeffs, sin_coeffs = parse_profile(config["profile"])
     else:

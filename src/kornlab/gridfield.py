@@ -27,7 +27,6 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +62,9 @@ def from_half_spectrum(coeffs: np.ndarray) -> np.ndarray:
 
 
 class PeriodicGrid:
-    """Uniform periodic grid on the centered square of side ``length``."""
+    """Uniform periodic grid on the centered square of side ``length``; it
+    keeps broadcastable axes (``x`` (n, 1), ``y`` (1, n), ``dkx``, ``dky``)
+    and (n, n/2 + 1) wavenumber planes, never an n x n plane."""
 
     def __init__(self, n: int, length: float):
         n = int(n)
@@ -76,15 +77,12 @@ class PeriodicGrid:
         self.spacing = self.length / n
 
         coords1d = self.spacing * np.arange(n) - self.length / 2.0
-        self.x, self.y = np.meshgrid(coords1d, coords1d, indexing="ij")
-
-        k1d = 2.0 * math.pi * np.fft.fftfreq(n, d=self.spacing)
-        self.kx, self.ky = np.meshgrid(k1d, k1d, indexing="ij")
+        self.x, self.y = coords1d[:, None], coords1d[None, :]
 
         # Derivative wavenumbers in the half-spectrum layout, shaped to
         # broadcast against (n, n/2 + 1) coefficients.  The frequency n/2 has
         # no conjugate partner, so it is dropped to keep derivatives real.
-        dk1d = k1d.copy()
+        dk1d = 2.0 * math.pi * np.fft.fftfreq(n, d=self.spacing)
         dk1d[n // 2] = 0.0
         self.dkx = dk1d[:, None]
         self.dky = dk1d[None, : n // 2 + 1]
@@ -118,22 +116,6 @@ class PeriodicGrid:
         return f"PeriodicGrid(n={self.n}, length={self.length})"
 
 
-@dataclass
-class Spectrum:
-    """Complex Fourier coefficients of a real field, full fft2 layout."""
-
-    grid: PeriodicGrid
-    coeffs: np.ndarray  # (..., n, n) complex
-
-    def norm(self) -> float:
-        """L2 norm of the underlying field via Plancherel."""
-        total = np.sum(np.abs(self.coeffs) ** 2)
-        return math.sqrt(self.grid.cell_area * total) / self.grid.n
-
-    def to_values(self) -> np.ndarray:
-        return scipy.fft.ifft2(self.coeffs, axes=(-2, -1), workers=fft_workers()).real
-
-
 class _Field:
     """Finite real samples on a grid, component axes ``components`` first."""
 
@@ -148,10 +130,6 @@ class _Field:
             raise ValueError("field contains non-finite samples")
         self.grid = grid
         self.values = values
-
-    def spectrum(self) -> Spectrum:
-        coeffs = scipy.fft.fft2(self.values, axes=(-2, -1), workers=fft_workers())
-        return Spectrum(self.grid, coeffs)
 
     def integrate(self) -> float | np.ndarray:
         return self.grid.cell_area * self.values.sum(axis=(-2, -1))
@@ -172,7 +150,7 @@ class _Field:
 class ScalarField(_Field):
     @classmethod
     def from_function(cls, grid: PeriodicGrid, fn) -> "ScalarField":
-        return cls(grid, fn(grid.x, grid.y))
+        return cls(grid, np.broadcast_to(fn(grid.x, grid.y), (grid.n, grid.n)).astype(float))
 
     def grad(self) -> "VectorField2":
         return VectorField2(self.grid, from_half_spectrum(self._grad_hat()))
@@ -184,8 +162,8 @@ class VectorField2(_Field):
     @classmethod
     def from_function(cls, grid: PeriodicGrid, fn) -> "VectorField2":
         u1, u2 = fn(grid.x, grid.y)
-        return cls(grid, np.stack([np.broadcast_to(u1, grid.x.shape),
-                                   np.broadcast_to(u2, grid.x.shape)]))
+        return cls(grid, np.stack([np.broadcast_to(u1, (grid.n, grid.n)),
+                                   np.broadcast_to(u2, (grid.n, grid.n))]))
 
     def grad(self) -> "MatrixField2":
         """Gradient G with G[i, j] = d_j u_i."""
@@ -209,9 +187,6 @@ class MatrixField2(_Field):
         m = np.asarray(matrix, dtype=float)
         return cls(grid, np.broadcast_to(m[:, :, None, None], (2, 2, grid.n, grid.n)).copy())
 
-    def row(self, i: int) -> VectorField2:
-        return VectorField2(self.grid, self.values[i])
-
     def det_values(self) -> np.ndarray:
         v = self.values
         return v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
@@ -228,10 +203,6 @@ class MatrixField2(_Field):
         curls = g.plancherel(curl.real**2 + curl.imag**2)
         grads = g.plancherel(g.dk2 * (ghat.real**2 + ghat.imag**2)).sum(axis=1)
         return float(np.sqrt(curls).max() / max(np.sqrt(grads).sum(), 1e-300))
-
-
-def integrate(field) -> float | np.ndarray:
-    return field.integrate()
 
 
 def check_gradient(G: MatrixField2, tol: float = CURL_TOL, spectrum=None) -> float:
@@ -384,6 +355,8 @@ def load_field(path):
     """Read a field written by :func:`save_field`; kind follows ``components``."""
     path = Path(path)
     header = json.loads(path.read_text())
+    if not isinstance(header, dict):
+        raise ValueError("field header must hold a JSON object")
     for key in ("n", "L", "components", "format", "data"):
         if key not in header:
             raise ValueError(f"field header misses required key {key!r}")
@@ -404,5 +377,5 @@ def load_field(path):
         raise ValueError(
             f"payload holds {raw.size} samples, expected {comps * grid.n ** 2}"
         )
-    shape = {1: (), 2: (2,), 4: (2, 2)}[comps] + (grid.n, grid.n)
-    return _FIELD_KINDS[comps](grid, raw.reshape(shape))
+    kind = _FIELD_KINDS[comps]
+    return kind(grid, raw.reshape(kind.components + (grid.n, grid.n)))

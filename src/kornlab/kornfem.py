@@ -360,9 +360,6 @@ class _Pencil:
             Y = Y - np.multiply.outer(self.ell, (self.ell @ X) / self.scale)
         return Y
 
-    def quad_A(self, x: np.ndarray) -> float:
-        return float(x @ self.apply_A(x))
-
     def apply_B(self, X: np.ndarray) -> np.ndarray:
         return self.B @ X
 

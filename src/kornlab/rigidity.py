@@ -22,7 +22,7 @@ estimate with constant sqrt(2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,11 +72,17 @@ class ExtremalField:
 
     The full gradient is ``affine + grad(periodic)``; the affine matrix is
     the grid mean of the synthesized gradient (approximately the far-field
-    rotation, since the construction data are compactly supported).
+    rotation, since the construction data are compactly supported).  The
+    periodic part is built on access from ``ghat``, the gradient's rfft2.
     """
 
-    periodic: VectorField2
-    affine: np.ndarray = field(default_factory=lambda: np.eye(2))
+    grid: PeriodicGrid
+    ghat: np.ndarray  # (2, 2, n, n/2 + 1) complex
+    affine: np.ndarray
+
+    @property
+    def periodic(self) -> VectorField2:
+        return potential_from_spectrum(self.grid, self.ghat)
 
     def gradient(self) -> MatrixField2:
         G = self.periodic.grad()
@@ -157,11 +163,6 @@ def assemble_gradient(
     return G
 
 
-def dist_so2_squared_values(G: MatrixField2) -> np.ndarray:
-    v = G.values
-    return mat2.dist_so2_arrays(v[0, 0], v[0, 1], v[1, 0], v[1, 1]) ** 2
-
-
 def rigidity_ratio(G: MatrixField2, curl_tol: float = CURL_TOL) -> ExtremalReport:
     """Certificate for a gradient field: best rotation, both sides, ratio.
 
@@ -175,7 +176,8 @@ def rigidity_ratio(G: MatrixField2, curl_tol: float = CURL_TOL) -> ExtremalRepor
 
 def _certificate(G: MatrixField2, curl_residual: float) -> ExtremalReport:
     area = G.grid.cell_area
-    dist2 = dist_so2_squared_values(G)
+    v = G.values
+    dist2 = mat2.dist_so2_arrays(v[0, 0], v[0, 1], v[1, 0], v[1, 1]) ** 2
     rhs = float(area * dist2.sum())
 
     mean = mat2.Mat2.from_array(G.mean())
@@ -206,7 +208,7 @@ def _lhs_at(G: MatrixField2, theta: float) -> float:
 def synthesize_extremal(
     alpha: ScalarField, r0: mat2.Rotation = mat2.Rotation(0.0)
 ) -> tuple[ExtremalField, ExtremalReport]:
-    """Full pipeline: alpha -> f -> g -> gradient -> potential -> certificate.
+    """Full pipeline: alpha -> f -> g -> gradient -> certificate.
 
     Requires alpha to satisfy the compact-support convention.  The returned
     report carries the pipeline norms and, since the far-field rotation is
@@ -216,11 +218,10 @@ def synthesize_extremal(
     f = build_f(alpha)
     g = solve_g(f)
     G = _gradient(f, g, r0)
-    # one transform and one curl check, shared by the certificate and potential
+    # one transform: the single curl check reads it, the field keeps it
     ghat = half_spectrum(G.values)
     report = _certificate(G, check_gradient(G, CURL_TOL, ghat))
-    u = potential_from_spectrum(G.grid, ghat)
-    extremal = ExtremalField(periodic=u, affine=G.mean())
+    extremal = ExtremalField(G.grid, ghat, G.mean())
 
     report.alpha_norm = alpha.norm_l2()
     report.f_norm = f.norm_l2()

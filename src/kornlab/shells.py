@@ -25,6 +25,9 @@ from .mesh import TriMesh, radial_band
 #: Stock profile: smooth, valued in (0, 1/3), no rotational symmetry.
 DEFAULT_COS_COEFFS = {0: 0.2, 3: 0.05}
 
+#: cos, -sin, -cos, sin: successive derivatives of cos, as (negate, function).
+_DERIVATIVE_CYCLE = ((False, np.cos), (True, np.sin), (True, np.cos), (False, np.sin))
+
 
 @dataclass
 class ShellSpec:
@@ -48,31 +51,22 @@ class ShellSpec:
                 f"profile range [{g.min():.4f}, {g.max():.4f}] leaves (0, 1/3)"
             )
 
-    def profile(self, theta):
+    def profile(self, theta, order: int = 0):
+        """g(theta), or its derivative of the given order."""
         theta = np.asarray(theta, dtype=float)
         g = np.zeros_like(theta)
-        for k, c in self.cos_coeffs.items():
-            g += c * np.cos(k * theta)
-        for k, c in self.sin_coeffs.items():
-            g += c * np.sin(k * theta)
-        return g
-
-    def profile_d1(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        g = np.zeros_like(theta)
-        for k, c in self.cos_coeffs.items():
-            g -= c * k * np.sin(k * theta)
-        for k, c in self.sin_coeffs.items():
-            g += c * k * np.cos(k * theta)
-        return g
-
-    def profile_d2(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        g = np.zeros_like(theta)
-        for k, c in self.cos_coeffs.items():
-            g -= c * k * k * np.cos(k * theta)
-        for k, c in self.sin_coeffs.items():
-            g -= c * k * k * np.sin(k * theta)
+        # the m-th derivative of cos(k theta) is k^m times entry m of the
+        # cycle cos, -sin, -cos, sin; sin(k theta) is the cycle's entry 3
+        for coeffs, start in ((self.cos_coeffs, 0), (self.sin_coeffs, 3)):
+            negate, fn = _DERIVATIVE_CYCLE[(start + order) % 4]
+            for k, c in coeffs.items():
+                scale = c
+                for _ in range(order):
+                    scale = scale * k
+                if negate:
+                    g -= scale * fn(k * theta)
+                else:
+                    g += scale * fn(k * theta)
         return g
 
     def is_constant(self) -> bool:
@@ -117,7 +111,7 @@ def shell_field(spec: ShellSpec):
             raise ValueError("shell field undefined at the origin")
         theta = np.arctan2(pts[:, 1], pts[:, 0])
         perp = np.stack([-pts[:, 1], pts[:, 0]], axis=1)
-        return perp + spec.h * spec.profile_d1(theta)[:, None] * pts / r[:, None]
+        return perp + spec.h * spec.profile(theta, 1)[:, None] * pts / r[:, None]
 
     def grad_fn(pts):
         pts = np.asarray(pts, dtype=float)
@@ -128,8 +122,8 @@ def shell_field(spec: ShellSpec):
         rhat = pts / r[:, None]
         that = np.stack([-rhat[:, 1], rhat[:, 0]], axis=1)
         J = np.array([[0.0, -1.0], [1.0, 0.0]])
-        g1 = spec.profile_d1(theta)
-        g2 = spec.profile_d2(theta)
+        g1 = spec.profile(theta, 1)
+        g2 = spec.profile(theta, 2)
         out = np.broadcast_to(J, (len(pts), 2, 2)).copy()
         out += (spec.h * g2 / r)[:, None, None] * np.einsum("ni,nj->nij", rhat, that)
         out += (spec.h * g1 / r)[:, None, None] * np.einsum("ni,nj->nij", that, that)

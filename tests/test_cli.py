@@ -316,6 +316,36 @@ def test_bow_tie_mesh_file_names_vertex(tmp_path, capsys):
     assert "non-manifold boundary vertex 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload, message", [
+    ([1, 2], "must hold a JSON object"),
+    ({"cos": [0.2]}, "'cos' must be an object"),
+    ({"cos": {"0": 0.2}, "sin": 3}, "'sin' must be an object"),
+    ({"cos": {"0": [0.2]}}, "'cos' coefficients must be numbers"),
+    ({"cos": {"0": 0.2, "3": None}}, "'cos' coefficients must be numbers"),
+], ids=["not-an-object", "cos-list", "sin-number", "list-coefficient", "null-coefficient"])
+def test_malformed_coeffs_file_names_defect(tmp_path, capsys, payload, message):
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps(payload))
+    assert run(["shell", "--coeffs", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kornlab: invalid input:")
+    assert message in err
+
+
+def test_negative_refine_exits_2(capsys):
+    assert run(["korn", "--refine", "-1"]) == 2
+    assert "refine must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+def test_alpha_file_header_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "alpha.json"
+    path.write_text("5")
+    assert run(["rigidity", "--alpha-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kornlab: invalid input:")
+    assert "field header must hold a JSON object" in err
+
+
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "cfg.json"

@@ -12,6 +12,8 @@ from kornlab.gridfield import (
     assert_compact_support,
     det_integral,
     fft_workers,
+    from_half_spectrum,
+    half_spectrum,
     helmholtz,
     load_field,
     potential_from_gradient,
@@ -42,6 +44,22 @@ def bump_field(grid, seed=0, count=3):
 
 
 class TestGridValidation:
+    def test_grid_holds_axes_not_planes(self):
+        grid = PeriodicGrid(1024, 20.0)
+        arrays = {k: v for k, v in vars(grid).items() if isinstance(v, np.ndarray)}
+        assert {"x", "y", "dkx", "dky", "dk2", "inv_dk2"} <= set(arrays)
+        assert all(a.size < grid.n**2 for a in arrays.values())
+        assert grid.x.shape == (grid.n, 1) and grid.y.shape == (1, grid.n)
+
+    def test_from_function_broadcasts_to_an_owned_plane(self, grid):
+        k = 2.0 * math.pi / grid.length
+        f = ScalarField.from_function(grid, lambda x, y: np.sin(k * x))
+        assert f.values.shape == (grid.n, grid.n)
+        assert f.values.flags.writeable and f.values.flags.owndata
+        np.testing.assert_array_equal(f.values[:, 0], f.values[:, -1])
+        u = VectorField2.from_function(grid, lambda x, y: (np.sin(k * x), 0.0))
+        assert u.values.shape == (2, grid.n, grid.n) and u.values.flags.writeable
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             PeriodicGrid(48, 1.0)
@@ -106,9 +124,10 @@ class TestQuadrature:
     def test_plancherel_and_spectrum_roundtrip(self, grid):
         rng = np.random.default_rng(5)
         f = ScalarField(grid, rng.standard_normal((grid.n, grid.n)))
-        spec = f.spectrum()
-        assert abs(spec.norm() - f.norm_l2()) < 1e-12 * f.norm_l2()
-        assert np.abs(spec.to_values() - f.values).max() < 1e-12
+        vhat = half_spectrum(f.values)
+        norm = math.sqrt(grid.plancherel(np.abs(vhat) ** 2))
+        assert abs(norm - f.norm_l2()) < 1e-12 * f.norm_l2()
+        assert np.abs(from_half_spectrum(vhat) - f.values).max() < 1e-12
 
     def test_fft_roundtrip(self, grid):
         rng = np.random.default_rng(6)

@@ -267,7 +267,7 @@ class TestKornConstant:
             best = ts[int(np.argmin([objective(t) for t in ts]))]
             local = np.linspace(best - 5e-3, best + 5e-3, 4001)
             direct = min(objective(t) for t in local)
-            assert abs(direct - pencil.quad_A(x)) <= 1e-8 * max(1.0, direct)
+            assert abs(direct - x @ pencil.apply_A(x)) <= 1e-8 * max(1.0, direct)
 
     def test_top_eigenspace_is_linear(self):
         # any combination of top-cluster eigenvectors attains kappa_sq

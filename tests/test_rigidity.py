@@ -63,13 +63,14 @@ class TestSolveG:
         f = VectorField2(gs, rng.standard_normal((2, gs.n, gs.n)))
         ghat = np.fft.fft2(rg.solve_g(f).values, axes=(-2, -1))
         fhat = np.fft.fft2(f.values, axes=(-2, -1))
+        k1d = 2.0 * math.pi * np.fft.fftfreq(gs.n, d=gs.spacing)
         nyq = gs.n // 2
         worst = 0.0
         for i in range(gs.n):
             for j in range(gs.n):
                 if i == nyq or j == nyq or (i == 0 and j == 0):
                     continue
-                kx, ky = gs.kx[i, j], gs.ky[i, j]
+                kx, ky = k1d[i], k1d[j]
                 M = np.array([[-ky, kx], [kx, ky]])
                 rhs = np.array(
                     [
@@ -90,10 +91,12 @@ class TestSolveG:
         rng = np.random.default_rng(4)
         f = VectorField2(gs, rng.standard_normal((2, gs.n, gs.n)))
         fhat = np.fft.fft2(f.values, axes=(-2, -1))
-        k2 = gs.kx**2 + gs.ky**2
+        k1d = 2.0 * math.pi * np.fft.fftfreq(gs.n, d=gs.spacing)
+        kx, ky = np.meshgrid(k1d, k1d, indexing="ij")
+        k2 = kx**2 + ky**2
         k2safe = np.where(k2 == 0.0, 1.0, k2)
-        c1 = np.where(k2 == 0.0, 1.0, (gs.kx**2 - gs.ky**2) / k2safe)
-        c2 = 2.0 * gs.kx * gs.ky / k2safe
+        c1 = np.where(k2 == 0.0, 1.0, (kx**2 - ky**2) / k2safe)
+        c2 = 2.0 * kx * ky / k2safe
         nyq = gs.n // 2
         c1[:, nyq], c2[:, nyq] = 1.0, 0.0
         c1[nyq, :], c2[nyq, :] = -1.0, 0.0
@@ -291,7 +294,7 @@ class TestSynthesizeExtremal:
 
 
 class TestOnePassPipeline:
-    def test_n64_synthesis_transforms_ten_planes_and_checks_once(self, monkeypatch):
+    def test_n64_synthesis_transforms_eight_planes_and_checks_once(self, monkeypatch):
         import numpy.fft
         import scipy.fft
 
@@ -317,9 +320,9 @@ class TestOnePassPipeline:
 
         monkeypatch.setattr(MatrixField2, "row_curl_residual", counted_check)
         rg.synthesize_extremal(rg.dipole_bump(PeriodicGrid(64, 20.0)), mat2.Rotation(0.5))
-        # f-hat, g, G-hat, u: every call transforms the two grid axes
-        assert calls == [("rfft2", 2), ("irfft2", 2), ("rfft2", 4), ("irfft2", 2)]
-        assert sum(planes for _, planes in calls) == 10
+        # f-hat, g, G-hat: every call transforms the two grid axes
+        assert calls == [("rfft2", 2), ("irfft2", 2), ("rfft2", 4)]
+        assert sum(planes for _, planes in calls) == 8
         assert len(checks) == 1
 
     def test_inconsistent_g_is_caught_by_the_single_check(self, grid, monkeypatch):
@@ -329,3 +332,14 @@ class TestOnePassPipeline:
         monkeypatch.setattr(rg, "solve_g", lambda f: bogus)
         with pytest.raises(CurlResidualTooLarge):
             rg.synthesize_extremal(alpha, mat2.Rotation(0.0))
+
+    def test_potential_on_access_equals_the_eager_one(self):
+        # the potential that the synthesis used to build before returning
+        grid = PeriodicGrid(64, 20.0)
+        alpha, r0 = rg.dipole_bump(grid), mat2.Rotation(0.5)
+        extremal, _ = rg.synthesize_extremal(alpha, r0)
+        f = rg.build_f(alpha)
+        eager = rg.potential_from_gradient(rg._gradient(f, rg.solve_g(f), r0))
+        periodic = extremal.periodic
+        assert periodic.values.shape == (2, 64, 64)
+        assert np.array_equal(periodic.values, eager.values)

@@ -38,8 +38,25 @@ class TestShellSpec:
         eps = 1e-6
         fd1 = (spec.profile(theta + eps) - spec.profile(theta - eps)) / (2 * eps)
         fd2 = (spec.profile(theta + eps) - 2 * spec.profile(theta) + spec.profile(theta - eps)) / eps**2
-        np.testing.assert_allclose(spec.profile_d1(theta), fd1, atol=1e-7)
-        np.testing.assert_allclose(spec.profile_d2(theta), fd2, atol=1e-3)
+        np.testing.assert_allclose(spec.profile(theta, 1), fd1, atol=1e-7)
+        np.testing.assert_allclose(spec.profile(theta, 2), fd2, atol=1e-3)
+
+
+    def test_profile_orders_match_the_term_loops_bitwise(self):
+        # the per-order loops that profile(theta, order) replaced
+        spec = ShellSpec(cos_coeffs={0: 0.2, 3: 0.05, 5: -0.01}, sin_coeffs={2: 0.03, 4: 0.007})
+        theta = np.linspace(0, 2 * math.pi, 1001)
+        d0, d1, d2 = (np.zeros_like(theta) for _ in range(3))
+        for k, c in spec.cos_coeffs.items():
+            d0 += c * np.cos(k * theta)
+            d1 -= c * k * np.sin(k * theta)
+            d2 -= c * k * k * np.cos(k * theta)
+        for k, c in spec.sin_coeffs.items():
+            d0 += c * np.sin(k * theta)
+            d1 += c * k * np.cos(k * theta)
+            d2 -= c * k * k * np.sin(k * theta)
+        for order, expected in enumerate((d0, d1, d2)):
+            np.testing.assert_array_equal(spec.profile(theta, order), expected)
 
 
 class TestShellMesh:
