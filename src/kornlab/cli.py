@@ -82,12 +82,33 @@ def _merge_config(args: argparse.Namespace, parser_keys: set[str]) -> dict:
         unknown = set(loaded) - parser_keys
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            if not _flag_accepts(args.flags[key], value):
+                raise ValueError(f"config key {key!r}: invalid value {value!r}")
         config.update(loaded)
     for key in parser_keys:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
     return config
+
+
+def _flag_accepts(action: argparse.Action, value) -> bool:
+    """Whether a config value is one its flag accepts: a value its ``type``
+    converts, a string (one of the ``choices``, if any) for a text flag, a
+    boolean for a switch; ``center`` may be two numbers, ``h_list`` a list."""
+    if isinstance(value, list) and all(type(x) in (int, float) for x in value):
+        if action.dest == "h_list" or (action.dest == "center" and len(value) == 2):
+            return True
+    if action.const is not None:
+        return isinstance(value, bool)
+    if action.type is None:
+        return isinstance(value, str) and (action.choices is None or value in action.choices)
+    try:
+        action.type(value)
+    except (TypeError, ValueError):
+        return False
+    return True
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -160,14 +181,14 @@ def cmd_korn(args: argparse.Namespace) -> int:
 
     if config.get("mesh_file"):
         mesh = _load(load_mesh, config["mesh_file"], "mesh file")
-        estimates = [kornfem.korn_constant(mesh, bc=config["bc"], tol=config["tol"])]
+        estimates = [kornfem.korn_constant(mesh, bc=config["bc"], tol=float(config["tol"]))]
     else:
         if int(config["refine"]) < 0:
             raise ValueError(f"refine must be a non-negative integer, got {config['refine']}")
         # level 1 upward: level-0 stock meshes have no admissible fields
         levels = list(range(1, int(config["refine"]) + 2))
         estimates = kornfem.korn_sweep(
-            config["domain"], levels, bc=config["bc"], tol=config["tol"]
+            config["domain"], levels, bc=config["bc"], tol=float(config["tol"])
         )
     seq = [est.kappa_sq for est in estimates]
     # Only the structured square meshes refine into nested spaces, where the
@@ -205,24 +226,13 @@ def cmd_rigidity(args: argparse.Namespace) -> int:
             raise ValueError("alpha file must hold a single-component field")
     else:
         grid = PeriodicGrid(int(config["n"]), float(config["box"]))
-        name = config["profile"]
-        if name == "gaussian-bump":
-            config.setdefault("width", 1.0)
-            center = _parse_pair(config.get("center", "0,0")) if isinstance(
-                config.get("center"), str) else tuple(config.get("center") or (0.0, 0.0))
-            alpha = rigidity.gaussian_bump(
-                grid, amplitude=float(config["amplitude"]),
-                width=float(config["width"]), center=center)
-        elif name == "dipole-bump":
-            config.setdefault("width", 0.8)
-            offset = _parse_pair(config.get("center", "1.25,0")) if isinstance(
-                config.get("center"), str) else tuple(config.get("center") or (1.25, 0.0))
-            alpha = rigidity.dipole_bump(
-                grid, amplitude=float(config["amplitude"]),
-                width=float(config["width"]), offset=offset)
-        else:
-            raise ValueError(f"unknown profile {name!r}; "
-                             "use gaussian-bump, dipole-bump, or --alpha-file")
+        # profile is one of the flag's choices, center a string or two numbers
+        gaussian = config["profile"] == "gaussian-bump"
+        config.setdefault("width", 1.0 if gaussian else 0.8)
+        center = config.get("center", "0,0" if gaussian else "1.25,0")
+        center = _parse_pair(center) if isinstance(center, str) else tuple(center)
+        bump = rigidity.gaussian_bump if gaussian else rigidity.dipole_bump
+        alpha = bump(grid, float(config["amplitude"]), float(config["width"]), center)
 
     _, report = rigidity.synthesize_extremal(alpha, Rotation(float(config["r0"])))
     _write_report(config.get("report"),
@@ -355,6 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (korn, rig, shell, selftest):
         p.add_argument("--config", help="flat JSON config; explicit flags override")
         p.add_argument("--report", help="JSON report path (default: stdout)")
+        p.set_defaults(flags={action.dest: action for action in p._actions})
     return parser
 
 

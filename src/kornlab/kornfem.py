@@ -177,43 +177,34 @@ def null_lagrangian_gap(forms: AssembledForms, basis: sp.spmatrix) -> float:
 
 @dataclass
 class ConstraintSet:
-    """Per-boundary-vertex constraints plus the constrained-space basis.
+    """Boundary constraints plus the constrained-space basis.
 
-    ``kinds`` maps boundary vertex -> ("pinned", None) or
-    ("normal", unit normal).  ``basis`` is the sparse (2V, m) matrix whose
-    orthonormal columns span the admissible space: two unit columns per free
-    vertex, a single tangent column per normal-constrained vertex, none for
-    pinned vertices.
+    ``vertices``: the boundary vertices, ascending; each leaves and enters
+    exactly one boundary edge (``TriMesh.validate`` enforces this for mesh
+    files, and the builtin domains satisfy it).  ``slip`` marks those that
+    slide along the unit ``normals`` (one row per slip vertex); the others
+    are pinned.  ``basis`` is the sparse (2V, m) matrix whose orthonormal
+    columns span the admissible space: two unit columns per free vertex, the
+    tangent of a slip vertex, none for a pinned vertex.
     """
 
-    kinds: dict[int, tuple[str, np.ndarray | None]]
+    vertices: np.ndarray
+    slip: np.ndarray
+    normals: np.ndarray
     basis: sp.csr_matrix
-    bc: str
 
     @property
     def dof_count(self) -> int:
         return self.basis.shape[1]
 
 
-def _vertex_normals(mesh: TriMesh):
-    """Adjacent boundary-edge normals per boundary vertex (one or two)."""
-    per_vertex: dict[int, list[np.ndarray]] = {}
-    for (a, b), n in zip(mesh.boundary_edges, mesh.boundary_normals):
-        per_vertex.setdefault(int(a), []).append(n)
-        per_vertex.setdefault(int(b), []).append(n)
-    return per_vertex
-
-
-def _build_basis(nverts: int, kinds: dict[int, tuple[str, np.ndarray | None]]) -> sp.csr_matrix:
-    # Columns in vertex order: two unit columns per free vertex, the tangent
-    # (-n2, n1) of a normal-constrained vertex, none for a pinned vertex.
-    bnd = np.fromiter(kinds, dtype=np.int64, count=len(kinds))
-    normal = np.array([kind == "normal" for kind, _ in kinds.values()], dtype=bool)
+def _build_basis(nverts: int, vertices: np.ndarray, slip: np.ndarray,
+                 normals: np.ndarray) -> sp.csr_matrix:
+    # Columns in vertex order; the tangent of normal (n1, n2) is (-n2, n1).
     width = np.full(nverts, 2)
-    width[bnd] = normal
+    width[vertices] = slip
     vals = np.ones((nverts, 2))
-    tangents = [(-n[1], n[0]) for kind, n in kinds.values() if kind == "normal"]
-    vals[bnd[normal]] = np.array(tangents, dtype=float).reshape(-1, 2)
+    vals[vertices[slip]] = np.stack([-normals[:, 1], normals[:, 0]], axis=1)
     first = np.cumsum(width) - width
     cols = first[:, None] + (width[:, None] == 2) * np.arange(2)
     live = np.repeat(width > 0, 2)
@@ -222,31 +213,37 @@ def _build_basis(nverts: int, kinds: dict[int, tuple[str, np.ndarray | None]]) -
                          shape=(2 * nverts, int(width.sum())))
 
 
-def tangential_constraints(mesh: TriMesh, corner_angle: float = CORNER_ANGLE) -> ConstraintSet:
-    """Slip conditions u . n = 0: corners pinned, other boundary vertices
-    constrained along the bisector of their adjacent edge normals."""
-    kinds: dict[int, tuple[str, np.ndarray | None]] = {}
-    for v, normals in _vertex_normals(mesh).items():
-        if len(normals) == 1:
-            kinds[v] = ("normal", normals[0])
-            continue
-        n1, n2 = normals[0], normals[1]
-        angle = math.atan2(abs(n1[0] * n2[1] - n1[1] * n2[0]), float(n1 @ n2))
-        if angle > corner_angle:
-            kinds[v] = ("pinned", None)
-        else:
-            s = n1 + n2
-            norm = np.linalg.norm(s)
-            if norm == 0.0:  # antipodal normals: slit-like corner
-                kinds[v] = ("pinned", None)
-            else:
-                kinds[v] = ("normal", s / norm)
-    return ConstraintSet(kinds, _build_basis(len(mesh.vertices), kinds), "tangential")
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # numpy's vector-dot kernel per row (a 1 x 1 matmul), which rounds as
+    # np.linalg.norm does; an elementwise a0*b0 + a1*b1 differs in the last
+    # bit, and the thin-shell iteration counts move with that bit.
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def tangential_constraints(mesh: TriMesh) -> ConstraintSet:
+    """Slip conditions u . n = 0 along the bisector of the normals of the
+    boundary edges that each boundary vertex leaves and enters (exactly one
+    each), taken in edge order; a vertex whose normals turn by more than
+    ``CORNER_ANGLE``, or cancel (a slit), is a pinned corner."""
+    edges = mesh.boundary_edges
+    leaving, entering = np.argsort(edges[:, 0]), np.argsort(edges[:, 1])
+    vertices = edges[leaving, 0]
+    first, second = np.sort([leaving, entering], axis=0)
+    n1, n2 = mesh.boundary_normals[first], mesh.boundary_normals[second]
+    angle = np.arctan2(np.abs(n1[:, 0] * n2[:, 1] - n1[:, 1] * n2[:, 0]), _row_dot(n1, n2))
+    s = n1 + n2
+    norm = np.sqrt(_row_dot(s, s))
+    slip = (angle <= CORNER_ANGLE) & (norm != 0.0)
+    normals = s[slip] / norm[slip, None]
+    return ConstraintSet(vertices, slip, normals,
+                         _build_basis(len(mesh.vertices), vertices, slip, normals))
 
 
 def dirichlet_constraints(mesh: TriMesh) -> ConstraintSet:
-    kinds = {int(v): ("pinned", None) for v in mesh.boundary_vertices()}
-    return ConstraintSet(kinds, _build_basis(len(mesh.vertices), kinds), "dirichlet")
+    vertices = mesh.boundary_vertices()
+    slip, normals = np.zeros(len(vertices), dtype=bool), np.zeros((0, 2))
+    return ConstraintSet(vertices, slip, normals,
+                         _build_basis(len(mesh.vertices), vertices, slip, normals))
 
 
 # ---------------------------------------------------------------------------
@@ -543,17 +540,18 @@ def korn_constant(
     bc: str = "tangential",
     tol: float = 1e-10,
     max_iter: int = 400,
-    seed_coords: np.ndarray | None = None,
+    seed: np.ndarray | None = None,
     extra_pairs: int = 2,
     dense_threshold: int = 200,
 ) -> KornEstimate:
     """Maximize the Korn Rayleigh quotient on the constrained P1 space.
 
-    ``seed_coords`` (constrained coordinates) start the iteration; default is
-    the interpolated divergence-free bump, which already carries a quotient
-    close to the supremum.  ``extra_pairs`` deflated eigenpairs are computed
-    to report the dimension of the top eigenvalue cluster.  Pencils with at
-    most ``dense_threshold`` dofs are solved densely.  Raises
+    ``seed``, a full dof vector (2V) such as a prolonged coarse maximizer,
+    is projected onto the constrained space to start the iteration; default
+    is the interpolated divergence-free bump, which already carries a
+    quotient close to the supremum.  ``extra_pairs`` deflated eigenpairs
+    are computed to report the dimension of the top eigenvalue cluster.
+    Pencils with at most ``dense_threshold`` dofs are solved densely.  Raises
     :class:`SolverFailure` when the iteration runs ``max_iter`` steps without
     converging.
     """
@@ -579,9 +577,8 @@ def korn_constant(
 
     pencil = _Pencil(forms, constraints, rank_one, deflate)
 
-    if seed_coords is None:
-        seed_coords = _bump_seed(mesh, constraints)
-    seed_coords = pencil.project(seed_coords)
+    seed_coords = pencil.project(
+        constraints.basis.T @ (_bump_seed(mesh) if seed is None else seed))
     if float(seed_coords @ (pencil.B @ seed_coords)) <= 0.0:
         rng = np.random.default_rng(0)
         seed_coords = pencil.project(rng.standard_normal(pencil.n))
@@ -628,7 +625,7 @@ def korn_constant(
     )
 
 
-def _bump_seed(mesh: TriMesh, constraints: ConstraintSet) -> np.ndarray:
+def _bump_seed(mesh: TriMesh) -> np.ndarray:
     """Divergence-free bump interpolant: u = rot(psi) for a quartic bump psi
     scaled to the mesh bounding box, evaluated at the vertices."""
     v = mesh.vertices
@@ -646,7 +643,7 @@ def _bump_seed(mesh: TriMesh, constraints: ConstraintSet) -> np.ndarray:
     field = np.zeros(2 * len(v))
     field[0::2] = u1
     field[1::2] = u2
-    return constraints.basis.T @ field
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -752,18 +749,10 @@ def korn_sweep(domain: str, levels: list[int], bc: str = "tangential",
     into the next level's start vector, which makes the reported sequence
     nondecreasing by construction (nested spaces, monotone iteration)."""
     estimates: list[KornEstimate] = []
-    prev: KornEstimate | None = None
     for level in levels:
         mesh = builtin_domain(domain, level=level, **params)
         seed = None
-        if domain == "square" and prev is not None:
-            cells_prev = 2 ** (level - 1)
-            full = square_prolongation(prev.maximizer, cells_prev)
-            constraints = (
-                tangential_constraints(mesh) if bc == "tangential" else dirichlet_constraints(mesh)
-            )
-            seed = constraints.basis.T @ full
-        est = korn_constant(mesh, bc=bc, tol=tol, seed_coords=seed)
-        estimates.append(est)
-        prev = est
+        if domain == "square" and estimates:
+            seed = square_prolongation(estimates[-1].maximizer, 2 ** (level - 1))
+        estimates.append(korn_constant(mesh, bc=bc, tol=tol, seed=seed))
     return estimates

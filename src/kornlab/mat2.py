@@ -79,9 +79,6 @@ class ConformalSplit:
     def anticonformal(self) -> Mat2:
         return Mat2(self.a_a, self.a_b, self.a_b, -self.a_a)
 
-    def conformal_norm(self) -> float:
-        return math.sqrt(2.0 * (self.c_a**2 + self.c_b**2))
-
     def anticonformal_norm(self) -> float:
         return math.sqrt(2.0 * (self.a_a**2 + self.a_b**2))
 

@@ -364,6 +364,34 @@ class TestConfigHandling:
         assert run(["korn", "--config", str(config)]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("rigidity", "amplitude", [1]),
+        ("rigidity", "center", 5),
+        ("korn", "refine", [5]),
+        ("shell", "h_list", 5),
+    ], ids=["amplitude-list", "center-number", "refine-list", "h_list-number"])
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, command, key, value):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: value}))
+        assert run([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kornlab: invalid input:")
+        assert repr(key) in err
+
+    @pytest.mark.parametrize("command,given", [
+        ("rigidity", {"n": 64, "width": 0.5, "amplitude": "0.4", "center": [1.0, 0.5],
+                      "profile": "gaussian-bump"}),
+        # a string tol used to reach the iterative levels unconverted (TypeError)
+        ("korn", {"tol": "1e-10", "refine": 3}),
+    ], ids=["rigidity", "korn-string-tol"])
+    def test_config_values_of_flag_types_kept_as_given(self, tmp_path, command, given):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(given))
+        report = tmp_path / "report.json"
+        assert run([command, "--config", str(config), "--report", str(report)]) == 0
+        cfg = json.loads(report.read_text())["config"]
+        assert {key: cfg[key] for key in given} == given
+
     def test_reports_identical_apart_from_timestamp(self, tmp_path):
         out = tmp_path / "report.json"
         args = ["rigidity", "--n", "64", "--width", "0.5", "--amplitude", "0.4",
