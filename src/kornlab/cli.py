@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -109,6 +110,14 @@ def _flag_accepts(action: argparse.Action, value) -> bool:
     except (TypeError, ValueError):
         return False
     return True
+
+
+def _finite(config: dict, key: str) -> float:
+    """``config[key]`` as a float; non-finite values are invalid input."""
+    value = float(config[key])
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {config[key]!r}")
+    return value
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -216,6 +225,21 @@ def cmd_rigidity(args: argparse.Namespace) -> int:
     config.setdefault("n", 512)
     config.setdefault("box", 20.0)
 
+    # checked before any work, whether or not an alpha file is given
+    amplitude, r0 = _finite(config, "amplitude"), _finite(config, "r0")
+    gaussian = config["profile"] == "gaussian-bump"
+    width = _finite(config, "width") if "width" in config else (1.0 if gaussian else 0.8)
+    if width <= 0.0:
+        raise ValueError(f"width must be positive, got {config['width']!r}")
+    # profile is one of the flag's choices, center a string or two numbers
+    center = config.get("center", "0,0" if gaussian else "1.25,0")
+    try:
+        center = _parse_pair(center) if isinstance(center, str) else tuple(center)
+    except ValueError as exc:
+        raise ValueError(f"center: {exc}") from None
+    if not all(math.isfinite(c) for c in center):
+        raise ValueError(f"center must be two finite numbers, got {config['center']!r}")
+
     from . import rigidity
     from .gridfield import PeriodicGrid, ScalarField, load_field
     from .mat2 import Rotation
@@ -225,16 +249,12 @@ def cmd_rigidity(args: argparse.Namespace) -> int:
         if not isinstance(alpha, ScalarField):
             raise ValueError("alpha file must hold a single-component field")
     else:
+        config.setdefault("width", width)
         grid = PeriodicGrid(int(config["n"]), float(config["box"]))
-        # profile is one of the flag's choices, center a string or two numbers
-        gaussian = config["profile"] == "gaussian-bump"
-        config.setdefault("width", 1.0 if gaussian else 0.8)
-        center = config.get("center", "0,0" if gaussian else "1.25,0")
-        center = _parse_pair(center) if isinstance(center, str) else tuple(center)
         bump = rigidity.gaussian_bump if gaussian else rigidity.dipole_bump
-        alpha = bump(grid, float(config["amplitude"]), float(config["width"]), center)
+        alpha = bump(grid, amplitude, width, center)
 
-    _, report = rigidity.synthesize_extremal(alpha, Rotation(float(config["r0"])))
+    _, report = rigidity.synthesize_extremal(alpha, Rotation(r0))
     _write_report(config.get("report"),
                   _report_envelope("rigidity", config, report.to_dict()))
     return EXIT_OK

@@ -196,12 +196,28 @@ class MatrixField2(_Field):
         ||grad(row)||_2; zero (to roundoff) exactly for spectral gradients.
 
         Both norms come from ``spectrum``, the field's :func:`half_spectrum`
-        (computed when not given), by Plancherel."""
+        (computed when not given), by Plancherel.  The powers |coeff|^2 are
+        formed one row (curl) or entry (gradient) at a time from the real
+        and imaginary parts, in two real half-plane buffers, so no complex
+        copy of the spectrum is made."""
         g = self.grid
         ghat = half_spectrum(self.values) if spectrum is None else spectrum
-        curl = g.dkx * ghat[:, 1] - g.dky * ghat[:, 0]
-        curls = g.plancherel(curl.real**2 + curl.imag**2)
-        grads = g.plancherel(g.dk2 * (ghat.real**2 + ghat.imag**2)).sum(axis=1)
+        re, im = ghat.real, ghat.imag
+        power = np.empty(ghat.shape[-2:])
+        part = np.empty_like(power)
+        curls, grads = np.empty(2), np.empty((2, 2))
+        for i in range(2):
+            # curl = dkx * ghat[i, 1] - dky * ghat[i, 0], part by part
+            np.multiply(g.dkx, re[i, 1], out=power)
+            np.square(np.subtract(power, g.dky * re[i, 0], out=power), out=power)
+            np.multiply(g.dkx, im[i, 1], out=part)
+            np.square(np.subtract(part, g.dky * im[i, 0], out=part), out=part)
+            curls[i] = g.plancherel(np.add(power, part, out=power))
+            for j in range(2):
+                np.square(re[i, j], out=power)
+                power += np.square(im[i, j], out=part)
+                grads[i, j] = g.plancherel(np.multiply(power, g.dk2, out=power))
+        grads = grads.sum(axis=1)
         return float(np.sqrt(curls).max() / max(np.sqrt(grads).sum(), 1e-300))
 
 

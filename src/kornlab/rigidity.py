@@ -94,9 +94,11 @@ def build_f(alpha: ScalarField) -> VectorField2:
 
     |f|^2 = 2 - 2 cos(alpha) <= alpha^2 pointwise, so ||f|| <= ||alpha||.
     """
-    return VectorField2(
-        alpha.grid, np.stack([np.sin(alpha.values), np.cos(alpha.values) - 1.0])
-    )
+    f = np.empty((2,) + alpha.values.shape)
+    np.sin(alpha.values, out=f[0])
+    np.cos(alpha.values, out=f[1])
+    f[1] -= 1.0
+    return VectorField2(alpha.grid, f)
 
 
 def solve_g(f: VectorField2) -> VectorField2:
@@ -126,23 +128,44 @@ def solve_g(f: VectorField2) -> VectorField2:
     c1 = np.where(grid.dk2 == 0.0, 1.0, (grid.dkx**2 - grid.dky**2) * grid.inv_dk2)
     c2 = 2.0 * grid.dkx * grid.dky * grid.inv_dk2
     c1[grid.n // 2, :] = -1.0
-    ghat = np.stack([-c2 * fhat[0] + c1 * fhat[1], c1 * fhat[0] + c2 * fhat[1]])
+    # g-hat = [[-c2, c1], [c1, c2]] f-hat, each row formed in its output
+    ghat = np.empty_like(fhat)
+    term = np.empty_like(fhat[0])
+    np.multiply(-c2, fhat[0], out=ghat[0])
+    ghat[0] += np.multiply(c1, fhat[1], out=term)
+    np.multiply(c1, fhat[0], out=ghat[1])
+    ghat[1] += np.multiply(c2, fhat[1], out=term)
+    del fhat, term, c1, c2
     return VectorField2(grid, from_half_spectrum(ghat))
 
 
 def _gradient(f: VectorField2, g: VectorField2, r0: mat2.Rotation) -> MatrixField2:
     """R0 (R(alpha) + [[a, b], [b, -a]]) from f = (sin alpha, cos alpha - 1)
-    and g = (a, b), written plane by plane."""
+    and g = (a, b).
+
+    The four base planes are written straight into G, which is then
+    left-multiplied by R0 in place, one column at a time: one scratch plane
+    keeps the column's top entry, and numpy forms one temporary product per
+    added term.  Every entry is the same rounded expression
+    r_i0 B_0j + r_i1 B_1j as a product formed out of place.
+    """
     sa, cm1 = f.values
     a, b = g.values
-    ca = cm1 + 1.0
-    base = ((ca + a, b - sa), (sa + b, ca - a))
-    r = r0.as_array()
     G = np.empty((2, 2) + a.shape)
-    for i in range(2):
-        for j in range(2):
-            np.multiply(r[i, 0], base[0][j], out=G[i, j])
-            G[i, j] += r[i, 1] * base[1][j]
+    np.add(cm1, 1.0, out=G[0, 0])
+    G[0, 0] += a
+    np.subtract(b, sa, out=G[0, 1])
+    np.add(sa, b, out=G[1, 0])
+    np.add(cm1, 1.0, out=G[1, 1])
+    G[1, 1] -= a
+    r = r0.as_array()
+    top = np.empty_like(a)
+    for j in range(2):
+        np.copyto(top, G[0, j])
+        G[0, j] *= r[0, 0]
+        G[0, j] += r[0, 1] * G[1, j]
+        G[1, j] *= r[1, 1]
+        G[1, j] += r[1, 0] * top
     return MatrixField2(f.grid, G)
 
 
@@ -177,8 +200,9 @@ def rigidity_ratio(G: MatrixField2, curl_tol: float = CURL_TOL) -> ExtremalRepor
 def _certificate(G: MatrixField2, curl_residual: float) -> ExtremalReport:
     area = G.grid.cell_area
     v = G.values
-    dist2 = mat2.dist_so2_arrays(v[0, 0], v[0, 1], v[1, 0], v[1, 1]) ** 2
-    rhs = float(area * dist2.sum())
+    dist2 = mat2.dist_so2_arrays(v[0, 0], v[0, 1], v[1, 0], v[1, 1])
+    rhs = float(area * np.square(dist2, out=dist2).sum())
+    del dist2
 
     mean = mat2.Mat2.from_array(G.mean())
     rstar = mat2.closest_rotation(mean)
@@ -199,10 +223,19 @@ def _certificate(G: MatrixField2, curl_residual: float) -> ExtremalReport:
 
 
 def _lhs_at(G: MatrixField2, theta: float) -> float:
+    """Integral of |G - R(theta)|^2, summed entry by entry in one scratch
+    plane.  Taken directly, not as the moment form |G|^2 - 2 tr(R^T G) + 2,
+    whose terms are O(L^2) against an O(1) result and cancel away about
+    three digits at L = 20."""
     c, s = math.cos(theta), math.sin(theta)
-    R = np.array([[c, -s], [s, c]])
-    diff = G.values - R[:, :, None, None]
-    return float(G.grid.cell_area * (diff**2).sum())
+    R = ((c, -s), (s, c))
+    diff = np.empty_like(G.values[0, 0])
+    total = 0.0
+    for i in range(2):
+        for j in range(2):
+            np.subtract(G.values[i, j], R[i][j], out=diff)
+            total += np.square(diff, out=diff).sum()
+    return float(G.grid.cell_area * total)
 
 
 def synthesize_extremal(
@@ -213,19 +246,25 @@ def synthesize_extremal(
     Requires alpha to satisfy the compact-support convention.  The returned
     report carries the pipeline norms and, since the far-field rotation is
     known here, the left-hand side measured against it as well.
+
+    Memory: each stage writes into its output with at most a few scratch
+    planes beside the fields it must keep.  The norms of alpha, f and g are
+    taken before G is built, and f and g are dropped before the 4-plane
+    transform of G, which the single curl check reads and the returned
+    field keeps.  Both left-hand sides are summed from G - R directly (see
+    :func:`_lhs_at`), never from the moments of G.
     """
     assert_compact_support(alpha)
     f = build_f(alpha)
     g = solve_g(f)
+    norms = alpha.norm_l2(), f.norm_l2(), g.norm_l2()
     G = _gradient(f, g, r0)
-    # one transform: the single curl check reads it, the field keeps it
+    del f, g
     ghat = half_spectrum(G.values)
     report = _certificate(G, check_gradient(G, CURL_TOL, ghat))
     extremal = ExtremalField(G.grid, ghat, G.mean())
 
-    report.alpha_norm = alpha.norm_l2()
-    report.f_norm = f.norm_l2()
-    report.g_norm = g.norm_l2()
+    report.alpha_norm, report.f_norm, report.g_norm = norms
     report.theta0 = r0.theta
     report.lhs_at_theta0 = _lhs_at(G, r0.theta)
     report.ratio_at_theta0 = report.lhs_at_theta0 / (2.0 * report.rhs)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +336,37 @@ def test_malformed_coeffs_file_names_defect(tmp_path, capsys, payload, message):
 def test_negative_refine_exits_2(capsys):
     assert run(["korn", "--refine", "-1"]) == 2
     assert "refine must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--width=-0.8"], "width"),
+    (["--width", "0"], "width"),
+    (["--r0", "nan"], "r0"),
+    (["--amplitude", "inf"], "amplitude"),
+    (["--center", "nan,0"], "center"),
+    (["--profile", "gaussian-bump", "--center", "0,-inf"], "center"),
+    ({"width": -1.0}, "width"),
+    ({"amplitude": float("nan")}, "amplitude"),
+    ({"center": [0.0, float("inf")]}, "center"),
+], ids=["negative-width", "zero-width", "nan-r0", "inf-amplitude", "nan-center",
+        "inf-center", "config-negative-width", "config-nan-amplitude", "config-inf-center"])
+def test_invalid_rigidity_profile_number_exits_2(tmp_path, capsys, flags, key):
+    # these used to run (a negative width is only squared) or to fail later
+    # as "non-finite samples" without naming the flag
+    if isinstance(flags, dict):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(flags))
+        flags = ["--config", str(config)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["rigidity", "--n", "64"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"kornlab: invalid input: {key} ")
+
+
+def test_zero_amplitude_stays_degenerate(capsys):
+    assert run(["rigidity", "--n", "64", "--amplitude", "0"]) == 3
+    assert "rotation almost everywhere" in capsys.readouterr().err
 
 
 def test_alpha_file_header_not_an_object_exits_2(tmp_path, capsys):

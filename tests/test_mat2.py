@@ -147,6 +147,23 @@ def test_dist_closed_form_matches_bruteforce_bulk():
     assert np.abs(closed - brute).max() < 1e-9
 
 
+_rng = np.random.default_rng(31)
+
+
+@pytest.mark.parametrize("entries", [
+    (1.5, *_rng.uniform(-3.0, 3.0, (3, 40))),
+    (np.asarray(0.4), -0.2, np.asarray(0.7), 1.1),
+    (0.9, 0.1, -0.3, 2),
+    (_rng.uniform(-3.0, 3.0, (5, 1)), _rng.uniform(-3.0, 3.0, (1, 6)), 0.25,
+     _rng.uniform(-3.0, 3.0, 6)),
+], ids=["float-m11", "zero-d", "python-scalars", "broadcast-2d"])
+def test_dist_arrays_broadcasts_mixed_inputs(entries):
+    closed = mat2.dist_so2_arrays(*entries)
+    brute = mat2.dist_so2_bruteforce(*entries)
+    assert np.shape(closed) == np.broadcast_shapes(*(np.shape(m) for m in entries))
+    assert np.abs(closed - brute).max() < 1e-9
+
+
 def test_det_identity_printed_constant_two_fails_at_identity():
     # The constant in det F = c (|F^c|^2 - |F^a|^2) is 1/2: at F = Id the
     # split norms give |F^c|^2 = 2, |F^a|^2 = 0, and det Id = 1.  The

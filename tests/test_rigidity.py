@@ -6,7 +6,14 @@ import pytest
 from kornlab import mat2
 from kornlab import rigidity as rg
 from kornlab.errors import CurlResidualTooLarge, ZeroDistance
-from kornlab.gridfield import MatrixField2, PeriodicGrid, ScalarField, VectorField2
+from kornlab.gridfield import (
+    MatrixField2,
+    PeriodicGrid,
+    ScalarField,
+    VectorField2,
+    from_half_spectrum,
+    half_spectrum,
+)
 
 
 @pytest.fixture(scope="module")
@@ -343,3 +350,137 @@ class TestOnePassPipeline:
         periodic = extremal.periodic
         assert periodic.values.shape == (2, 64, 64)
         assert np.array_equal(periodic.values, eager.values)
+
+
+# ---------------------------------------------------------------------------
+# In-place synthesis: the out-of-place stage bodies it replaced serve as the
+# oracle, and tracemalloc bounds the planes it holds at once.
+# ---------------------------------------------------------------------------
+
+def _oracle_build_f(alpha):
+    return np.stack([np.sin(alpha.values), np.cos(alpha.values) - 1.0])
+
+
+def _oracle_solve_g(grid, f):
+    fhat = half_spectrum(f)
+    c1 = np.where(grid.dk2 == 0.0, 1.0, (grid.dkx**2 - grid.dky**2) * grid.inv_dk2)
+    c2 = 2.0 * grid.dkx * grid.dky * grid.inv_dk2
+    c1[grid.n // 2, :] = -1.0
+    ghat = np.stack([-c2 * fhat[0] + c1 * fhat[1], c1 * fhat[0] + c2 * fhat[1]])
+    return from_half_spectrum(ghat)
+
+
+def _oracle_gradient(f, g, r0):
+    sa, cm1 = f
+    a, b = g
+    ca = cm1 + 1.0
+    base = ((ca + a, b - sa), (sa + b, ca - a))
+    r = r0.as_array()
+    G = np.empty((2, 2) + a.shape)
+    for i in range(2):
+        for j in range(2):
+            np.multiply(r[i, 0], base[0][j], out=G[i, j])
+            G[i, j] += r[i, 1] * base[1][j]
+    return G
+
+
+def _oracle_row_curl_residual(grid, ghat):
+    curl = grid.dkx * ghat[:, 1] - grid.dky * ghat[:, 0]
+    curls = grid.plancherel(curl.real**2 + curl.imag**2)
+    grads = grid.plancherel(grid.dk2 * (ghat.real**2 + ghat.imag**2)).sum(axis=1)
+    return float(np.sqrt(curls).max() / max(np.sqrt(grads).sum(), 1e-300))
+
+
+def _oracle_dist_so2_arrays(m11, m12, m21, m22):
+    c_a, c_b, a_a, a_b = mat2.split_arrays(m11, m12, m21, m22)
+    r_c = np.sqrt(c_a**2 + c_b**2)
+    return np.sqrt(2.0 * (r_c - 1.0) ** 2 + 2.0 * (a_a**2 + a_b**2))
+
+
+def _oracle_lhs_at(grid, G, theta):
+    c, s = math.cos(theta), math.sin(theta)
+    R = np.array([[c, -s], [s, c]])
+    diff = G - R[:, :, None, None]
+    return float(grid.cell_area * (diff**2).sum())
+
+
+def _oracle_certificate(grid, G, ghat):
+    rhs = float(grid.cell_area
+                * (_oracle_dist_so2_arrays(G[0, 0], G[0, 1], G[1, 0], G[1, 1]) ** 2).sum())
+    theta = mat2.closest_rotation(mat2.Mat2.from_array(G.mean(axis=(-2, -1)))).theta
+    lhs = _oracle_lhs_at(grid, G, theta)
+    return {"curl_residual": _oracle_row_curl_residual(grid, ghat), "optimal_theta": theta,
+            "lhs": lhs, "rhs": rhs, "ratio": lhs / (2.0 * rhs)}
+
+
+def _assert_report_matches(report, expected):
+    for key, want in expected.items():
+        got = getattr(report, key)
+        if key in ("lhs", "ratio", "lhs_at_theta0", "ratio_at_theta0"):
+            # summed entry by entry instead of over all four planes at once
+            assert abs(got - want) <= 4 * np.spacing(abs(want)), key
+        else:
+            assert got == want, key
+
+
+class TestInPlaceSynthesisOracle:
+    @pytest.mark.parametrize("n, profile, r0", [
+        (64, lambda gr: rg.gaussian_bump(gr, amplitude=0.9, center=(0.5, -0.3)), 0.3),
+        (256, rg.dipole_bump, 1.0472),
+    ], ids=["gaussian-n64", "dipole-n256"])
+    def test_synthesis_matches_out_of_place_stages(self, n, profile, r0):
+        grid = PeriodicGrid(n, 20.0)
+        alpha = profile(grid)
+        rot = mat2.Rotation(r0)
+        extremal, report = rg.synthesize_extremal(alpha, rot)
+
+        f = _oracle_build_f(alpha)
+        g = _oracle_solve_g(grid, f)
+        G = _oracle_gradient(f, g, rot)
+        ghat = half_spectrum(G)
+        expected = _oracle_certificate(grid, G, ghat)
+        expected["alpha_norm"] = alpha.norm_l2()
+        expected["f_norm"] = VectorField2(grid, f).norm_l2()
+        expected["g_norm"] = VectorField2(grid, g).norm_l2()
+        expected["lhs_at_theta0"] = _oracle_lhs_at(grid, G, rot.theta)
+        expected["ratio_at_theta0"] = expected["lhs_at_theta0"] / (2.0 * expected["rhs"])
+        _assert_report_matches(report, expected)
+        assert np.array_equal(extremal.affine, G.mean(axis=(-2, -1)))
+        assert np.array_equal(extremal.ghat, ghat)
+        assert np.array_equal(rg._gradient(rg.build_f(alpha), rg.solve_g(rg.build_f(alpha)),
+                                           rot).values, G)
+
+    def test_random_gradient_with_nyquist_content(self):
+        # the spectral gradient of white noise carries content on the
+        # Nyquist lines of the direction not differentiated
+        grid = PeriodicGrid(64, 20.0)
+        rng = np.random.default_rng(17)
+        P = VectorField2(grid, rng.standard_normal((2, grid.n, grid.n))).grad()
+        values = P.values + mat2.Rotation(0.8).as_array()[:, :, None, None]
+        assert np.abs(half_spectrum(values)[:, :, grid.n // 2, 1:]).max() > 1.0
+        G = MatrixField2(grid, values)
+        _assert_report_matches(rg.rigidity_ratio(G),
+                               _oracle_certificate(grid, values, half_spectrum(values)))
+        v = values
+        assert np.array_equal(mat2.dist_so2_arrays(v[0, 0], v[0, 1], v[1, 0], v[1, 1]),
+                              _oracle_dist_so2_arrays(v[0, 0], v[0, 1], v[1, 0], v[1, 1]))
+        f, g = rng.standard_normal((2, 2, grid.n, grid.n))
+        rot = mat2.Rotation(2.5)
+        assert np.array_equal(
+            rg._gradient(VectorField2(grid, f), VectorField2(grid, g), rot).values,
+            _oracle_gradient(f, g, rot))
+
+
+def test_dipole_synthesis_holds_at_most_14_planes():
+    import tracemalloc
+
+    n, r0 = 1024, mat2.Rotation(1.0472)
+    rg.synthesize_extremal(rg.dipole_bump(PeriodicGrid(64, 20.0)), r0)  # imports, caches
+    tracemalloc.start()
+    try:
+        grid = PeriodicGrid(n, 20.0)
+        rg.synthesize_extremal(rg.dipole_bump(grid), r0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 * n * n * 8, f"peak {peak / (n * n * 8):.2f} planes"
