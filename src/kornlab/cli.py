@@ -95,14 +95,20 @@ def _merge_config(args: argparse.Namespace, parser_keys: set[str]) -> dict:
 
 
 def _flag_accepts(action: argparse.Action, value) -> bool:
-    """Whether a config value is one its flag accepts: a value its ``type``
-    converts, a string (one of the ``choices``, if any) for a text flag, a
-    boolean for a switch; ``center`` may be two numbers, ``h_list`` a list."""
+    """Whether a config value is one its flag accepts: a JSON integer or a
+    digit string for an integer flag, a value its ``type`` converts for any
+    other typed flag, a string (one of the ``choices``, if any) for a text
+    flag, a boolean for a switch; ``center`` may be two numbers, ``h_list`` a
+    list."""
     if isinstance(value, list) and all(type(x) in (int, float) for x in value):
         if action.dest == "h_list" or (action.dest == "center" and len(value) == 2):
             return True
     if action.const is not None:
         return isinstance(value, bool)
+    if action.type is int:
+        # int() would truncate 1.9 and accept true; neither is an integer
+        return type(value) is int or (isinstance(value, str)
+                                      and re.fullmatch(r"[0-9]+", value) is not None)
     if action.type is None:
         return isinstance(value, str) and (action.choices is None or value in action.choices)
     try:
@@ -215,40 +221,50 @@ def cmd_korn(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: Settings of the built-in angle profiles and their grid; an alpha file
+#: brings its own field and grid, so none of them applies to it.
+_PROFILE_KEYS = ("profile", "amplitude", "width", "center", "n", "box")
+
+
 def cmd_rigidity(args: argparse.Namespace) -> int:
     keys = {"profile", "amplitude", "width", "center", "alpha_file", "r0",
             "n", "box", "report"}
     config = _merge_config(args, keys)
-    config.setdefault("profile", "dipole-bump")
-    config.setdefault("amplitude", 1.0)
     config.setdefault("r0", 0.0)
-    config.setdefault("n", 512)
-    config.setdefault("box", 20.0)
-
-    # checked before any work, whether or not an alpha file is given
-    amplitude, r0 = _finite(config, "amplitude"), _finite(config, "r0")
-    gaussian = config["profile"] == "gaussian-bump"
-    width = _finite(config, "width") if "width" in config else (1.0 if gaussian else 0.8)
-    if width <= 0.0:
-        raise ValueError(f"width must be positive, got {config['width']!r}")
-    # profile is one of the flag's choices, center a string or two numbers
-    center = config.get("center", "0,0" if gaussian else "1.25,0")
-    try:
-        center = _parse_pair(center) if isinstance(center, str) else tuple(center)
-    except ValueError as exc:
-        raise ValueError(f"center: {exc}") from None
-    if not all(math.isfinite(c) for c in center):
-        raise ValueError(f"center must be two finite numbers, got {config['center']!r}")
+    r0 = _finite(config, "r0")
 
     from . import rigidity
     from .gridfield import PeriodicGrid, ScalarField, load_field
     from .mat2 import Rotation
 
     if config.get("alpha_file"):
+        unused = [key for key in _PROFILE_KEYS if key in config]
+        if unused:
+            raise ValueError(f"{', '.join(unused)}: not used with alpha_file, "
+                             "whose field sets the profile and the grid")
         alpha = _load(load_field, config["alpha_file"], "alpha file")
         if not isinstance(alpha, ScalarField):
             raise ValueError("alpha file must hold a single-component field")
+        config["n"], config["box"] = alpha.grid.n, alpha.grid.length
     else:
+        config.setdefault("profile", "dipole-bump")
+        config.setdefault("amplitude", 1.0)
+        config.setdefault("n", 512)
+        config.setdefault("box", 20.0)
+        # every number is checked before the grid is built
+        amplitude = _finite(config, "amplitude")
+        gaussian = config["profile"] == "gaussian-bump"
+        width = _finite(config, "width") if "width" in config else (1.0 if gaussian else 0.8)
+        if width <= 0.0:
+            raise ValueError(f"width must be positive, got {config['width']!r}")
+        # profile is one of the flag's choices, center a string or two numbers
+        center = config.get("center", "0,0" if gaussian else "1.25,0")
+        try:
+            center = _parse_pair(center) if isinstance(center, str) else tuple(center)
+        except ValueError as exc:
+            raise ValueError(f"center: {exc}") from None
+        if not all(math.isfinite(c) for c in center):
+            raise ValueError(f"center must be two finite numbers, got {config['center']!r}")
         config.setdefault("width", width)
         grid = PeriodicGrid(int(config["n"]), float(config["box"]))
         bump = rigidity.gaussian_bump if gaussian else rigidity.dipole_bump

@@ -19,6 +19,15 @@ Conventions, fixed once and asserted in the tests:
   real; all multipliers are even in k, so the half spectrum gives exactly
   the real field of the full-plane multiplier;
 * quadrature is dx^2 times the sample sum (exact for band-limited fields).
+
+Pointwise work on n x n planes runs in row strips (:func:`row_strips`):
+each strip holds about ``STRIP_ELEMENTS`` samples per plane, so the few
+strip-sized temporaries of a sweep stay in cache while the planes stream
+through once.  Sums are taken per strip and combined by :func:`tree_sum`.
+numpy sums a contiguous array pairwise, halving it at every level; n and
+the strip height are powers of two, so the strip sums are subtrees of that
+recursion, and combining them pairwise gives the whole-plane sum bit for
+bit.  Strip sweeps therefore change no reported number.
 """
 
 from __future__ import annotations
@@ -41,6 +50,10 @@ CURL_TOL = 1e-8
 SUPPORT_MARGIN_FRACTION = 0.125
 SUPPORT_MASS_BOUND = 1e-10
 
+#: Samples per strip plane in the row-strip sweeps: 2**17 float64, 1 MiB.
+#: A power of two, so strips hold a power-of-two number of rows.
+STRIP_ELEMENTS = 2**17
+
 
 def fft_workers() -> int:
     """FFT worker threads: ``KORNLAB_THREADS`` at call time, default 1."""
@@ -59,6 +72,30 @@ def from_half_spectrum(coeffs: np.ndarray) -> np.ndarray:
     """Real samples of a half spectrum: irfft2 back to the n x n grid."""
     n = coeffs.shape[-2]
     return scipy.fft.irfft2(coeffs, s=(n, n), axes=(-2, -1), workers=fft_workers())
+
+
+def row_strips(n: int) -> list[slice]:
+    """Row slices of an n x n plane: a power-of-two number of equal strips
+    of ``STRIP_ELEMENTS // n`` rows, all rows when n is small, and at least
+    8, which keeps the sums of half-spectrum strips exact (see
+    :meth:`MatrixField2.row_curl_residual`)."""
+    h = min(n, max(8, STRIP_ELEMENTS // n))
+    return [slice(r, r + h) for r in range(0, n, h)]
+
+
+def tree_sum(parts) -> np.ndarray:
+    """Partial sums combined pairwise along axis 0: (a0 + a1) + (a2 + a3)...
+
+    For the per-strip sums of a plane taken in :func:`row_strips` order,
+    this is numpy's pairwise sum of the whole plane, bit for bit, as long as
+    each strip holds at least 128 samples (numpy's unrolled block); the
+    number of parts must be a power of two."""
+    parts = np.asarray(parts)
+    if len(parts) & (len(parts) - 1):
+        raise ValueError(f"tree_sum needs a power-of-two number of parts, got {len(parts)}")
+    while len(parts) > 1:
+        parts = parts[0::2] + parts[1::2]
+    return parts[0]
 
 
 class PeriodicGrid:
@@ -98,8 +135,14 @@ class PeriodicGrid:
     def plancherel(self, power: np.ndarray) -> np.ndarray:
         """Squared L2 norms of real fields from their half-spectrum power
         |coeff|^2, one per leading index."""
-        weighted = 2.0 * power.sum(axis=(-2, -1))
-        weighted -= power[..., 0].sum(axis=-1) + power[..., -1].sum(axis=-1)
+        return self._plancherel_from_sums(power.sum(axis=(-2, -1)), power[..., 0],
+                                         power[..., -1])
+
+    def _plancherel_from_sums(self, total, first, last) -> np.ndarray:
+        """:meth:`plancherel` from the sum of the power over the half
+        spectrum and the power on its first and last columns (n samples)."""
+        weighted = 2.0 * total
+        weighted -= first.sum(axis=-1) + last.sum(axis=-1)
         return self.cell_area * weighted / self.n**2
 
     def __eq__(self, other) -> bool:
@@ -138,7 +181,13 @@ class _Field:
         return self.values.mean(axis=(-2, -1))
 
     def norm_l2(self) -> float:
-        return math.sqrt(self.grid.cell_area * float((self.values**2).sum()))
+        """L2 norm, squared strip by strip; equal to the whole-array sum."""
+        n = self.grid.n
+        strips = row_strips(n)
+        square = np.empty((strips[0].stop, n))
+        parts = [np.square(plane[rows], out=square).sum()
+                 for plane in self.values.reshape(-1, n, n) for rows in strips]
+        return math.sqrt(self.grid.cell_area * float(tree_sum(parts)))
 
     def _grad_hat(self) -> np.ndarray:
         """Half spectrum of the gradient, derivative index after the components."""
@@ -197,27 +246,40 @@ class MatrixField2(_Field):
 
         Both norms come from ``spectrum``, the field's :func:`half_spectrum`
         (computed when not given), by Plancherel.  The powers |coeff|^2 are
-        formed one row (curl) or entry (gradient) at a time from the real
-        and imaginary parts, in two real half-plane buffers, so no complex
-        copy of the spectrum is made."""
+        formed one row strip of the half spectrum at a time, from the real
+        and imaginary parts, in strip buffers, so no complex copy of the
+        spectrum is made.  Each power is summed per strip, its first and
+        last columns are kept, and the strips combine by :func:`tree_sum`:
+        strips of at least 8 rows of odd length n/2 + 1 split where numpy's
+        pairwise sum of the whole half plane does, so the result is the
+        whole-plane one bit for bit."""
         g = self.grid
         ghat = half_spectrum(self.values) if spectrum is None else spectrum
-        re, im = ghat.real, ghat.imag
-        power = np.empty(ghat.shape[-2:])
-        part = np.empty_like(power)
-        curls, grads = np.empty(2), np.empty((2, 2))
-        for i in range(2):
-            # curl = dkx * ghat[i, 1] - dky * ghat[i, 0], part by part
-            np.multiply(g.dkx, re[i, 1], out=power)
-            np.square(np.subtract(power, g.dky * re[i, 0], out=power), out=power)
-            np.multiply(g.dkx, im[i, 1], out=part)
-            np.square(np.subtract(part, g.dky * im[i, 0], out=part), out=part)
-            curls[i] = g.plancherel(np.add(power, part, out=power))
-            for j in range(2):
-                np.square(re[i, j], out=power)
-                power += np.square(im[i, j], out=part)
-                grads[i, j] = g.plancherel(np.multiply(power, g.dk2, out=power))
-        grads = grads.sum(axis=1)
+        strips = row_strips(g.n)
+        # one strip of each power: curl_0, grad_00, grad_01, curl_1, grad_10, grad_11
+        power = np.empty((6, strips[0].stop, ghat.shape[-1]))
+        part = np.empty_like(power[0])
+        sums = np.empty((len(strips), 6))
+        edges = np.empty((2, 6, g.n))  # the powers on the first and last column
+        for k, rows in enumerate(strips):
+            re, im = ghat[:, :, rows].real, ghat[:, :, rows].imag
+            dkx = g.dkx[rows]
+            for i in range(2):
+                # curl = dkx * ghat[i, 1] - dky * ghat[i, 0], part by part
+                curl = power[3 * i]
+                np.multiply(dkx, re[i, 1], out=curl)
+                np.square(np.subtract(curl, g.dky * re[i, 0], out=curl), out=curl)
+                np.multiply(dkx, im[i, 1], out=part)
+                np.square(np.subtract(part, g.dky * im[i, 0], out=part), out=part)
+                curl += part
+                for j, grad in enumerate(power[3 * i + 1: 3 * i + 3]):
+                    np.square(re[i, j], out=grad)
+                    grad += np.square(im[i, j], out=part)
+                    grad *= g.dk2[rows]
+            sums[k] = power.sum(axis=(-2, -1))
+            edges[0, :, rows], edges[1, :, rows] = power[..., 0], power[..., -1]
+        norms2 = g._plancherel_from_sums(tree_sum(sums), edges[0], edges[1]).reshape(2, 3)
+        curls, grads = norms2[:, 0], norms2[:, 1:].sum(axis=1)
         return float(np.sqrt(curls).max() / max(np.sqrt(grads).sum(), 1e-300))
 
 
@@ -313,12 +375,17 @@ def support_margin_mass(field) -> float:
     g = field.grid
     margin = SUPPORT_MARGIN_FRACTION * g.length
     edge = g.length / 2.0 - margin
-    mask = (np.abs(g.x) >= edge) | (np.abs(g.y) >= edge)
-    v2 = field.values**2
-    total = float(v2.sum())
+    strips = row_strips(g.n)
+    v2 = np.empty((strips[0].stop, g.n))
+    parts = []  # (sum of v^2, sum of v^2 in the margin) per plane and strip
+    for plane in field.values.reshape(-1, g.n, g.n):
+        for rows in strips:
+            mask = (np.abs(g.x[rows]) >= edge) | (np.abs(g.y) >= edge)
+            np.square(plane[rows], out=v2)
+            parts.append((v2.sum(), np.multiply(v2, mask, out=v2).sum()))
+    total, tail = (float(s) for s in tree_sum(parts))
     if total == 0.0:
         return 0.0
-    tail = float((v2 * mask).sum())
     return math.sqrt(tail / total)
 
 

@@ -40,6 +40,8 @@ from .gridfield import (
     half_spectrum,
     potential_from_gradient,  # noqa: F401  (public name here; perfbench traces it)
     potential_from_spectrum,
+    row_strips,
+    tree_sum,
 )
 
 #: Threshold on rhs below which the field counts as a rotation a.e.
@@ -90,14 +92,16 @@ class ExtremalField:
 
 
 def build_f(alpha: ScalarField) -> VectorField2:
-    """Pointwise lift f = (sin alpha, cos alpha - 1).
+    """Pointwise lift f = (sin alpha, cos alpha - 1), one row strip at a time.
 
     |f|^2 = 2 - 2 cos(alpha) <= alpha^2 pointwise, so ||f|| <= ||alpha||.
     """
     f = np.empty((2,) + alpha.values.shape)
-    np.sin(alpha.values, out=f[0])
-    np.cos(alpha.values, out=f[1])
-    f[1] -= 1.0
+    for rows in row_strips(alpha.grid.n):
+        cm1 = f[1, rows]
+        np.sin(alpha.values[rows], out=f[0, rows])
+        np.cos(alpha.values[rows], out=cm1)
+        cm1 -= 1.0
     return VectorField2(alpha.grid, f)
 
 
@@ -115,58 +119,69 @@ def solve_g(f: VectorField2) -> VectorField2:
     with its x-axis limit [[0, 1], [1, 0]], which keeps the map an isometry
     (any unimodular completion solves the system, since constants are
     annihilated by curl and div).
+
+    g-hat overwrites f-hat one row strip of the half spectrum at a time,
+    with the multiplier formed per strip.
     """
     grid = f.grid
-    fhat = half_spectrum(f.values)
-    # Reflection matrix [[-c2, c1], [c1, c2]] with c1 = (kx^2-ky^2)/|k|^2,
-    # c2 = 2 kx ky / |k|^2 on the derivative wavenumbers (Nyquist dropped);
-    # at k = 0 use the x-axis limit c1 = 1, c2 = 0.  On the unpaired Nyquist
-    # lines this is the (sign-adjusted) component swap: c1 = 1 on the column
-    # by itself, c1 = -1 set on the row, which also holds two
-    # derivative-blind modes.  The swap keeps both equations exact for the
-    # module's operators and the multiplier even in k.
-    c1 = np.where(grid.dk2 == 0.0, 1.0, (grid.dkx**2 - grid.dky**2) * grid.inv_dk2)
-    c2 = 2.0 * grid.dkx * grid.dky * grid.inv_dk2
-    c1[grid.n // 2, :] = -1.0
-    # g-hat = [[-c2, c1], [c1, c2]] f-hat, each row formed in its output
-    ghat = np.empty_like(fhat)
-    term = np.empty_like(fhat[0])
-    np.multiply(-c2, fhat[0], out=ghat[0])
-    ghat[0] += np.multiply(c1, fhat[1], out=term)
-    np.multiply(c1, fhat[0], out=ghat[1])
-    ghat[1] += np.multiply(c2, fhat[1], out=term)
-    del fhat, term, c1, c2
+    ghat = half_spectrum(f.values)
+    strips = row_strips(grid.n)
+    g1 = np.empty((strips[0].stop, ghat.shape[-1]), ghat.dtype)
+    term = np.empty_like(g1)
+    for rows in strips:
+        # Reflection matrix [[-c2, c1], [c1, c2]] with c1 = (kx^2-ky^2)/|k|^2,
+        # c2 = 2 kx ky / |k|^2 on the derivative wavenumbers (Nyquist
+        # dropped); at k = 0 use the x-axis limit c1 = 1, c2 = 0.  On the
+        # unpaired Nyquist lines this is the (sign-adjusted) component swap:
+        # c1 = 1 on the column by itself, c1 = -1 set on the row, which also
+        # holds two derivative-blind modes.  The swap keeps both equations
+        # exact for the module's operators and the multiplier even in k.
+        dkx, inv_dk2 = grid.dkx[rows], grid.inv_dk2[rows]
+        c1 = np.where(grid.dk2[rows] == 0.0, 1.0, (dkx**2 - grid.dky**2) * inv_dk2)
+        c2 = 2.0 * dkx * grid.dky * inv_dk2
+        if rows.start <= grid.n // 2 < rows.stop:
+            c1[grid.n // 2 - rows.start, :] = -1.0
+        # g-hat = [[-c2, c1], [c1, c2]] f-hat; the second row goes to a
+        # strip buffer first, so that the first can overwrite f-hat_0
+        f0, f1 = ghat[0, rows], ghat[1, rows]
+        np.multiply(c1, f0, out=g1)
+        g1 += np.multiply(c2, f1, out=term)
+        np.multiply(-c2, f0, out=f0)
+        f0 += np.multiply(c1, f1, out=term)
+        np.copyto(f1, g1)
     return VectorField2(grid, from_half_spectrum(ghat))
 
 
-def _gradient(f: VectorField2, g: VectorField2, r0: mat2.Rotation) -> MatrixField2:
-    """R0 (R(alpha) + [[a, b], [b, -a]]) from f = (sin alpha, cos alpha - 1)
-    and g = (a, b).
+def _gradient_rows(f, g, r: np.ndarray, G: np.ndarray, top: np.ndarray) -> None:
+    """R0 (R(alpha) + [[a, b], [b, -a]]) on the rows of one strip: f, g and
+    G are that strip's (2, h, n), (2, h, n) and (2, 2, h, n) views.
 
     The four base planes are written straight into G, which is then
-    left-multiplied by R0 in place, one column at a time: one scratch plane
-    keeps the column's top entry, and numpy forms one temporary product per
-    added term.  Every entry is the same rounded expression
-    r_i0 B_0j + r_i1 B_1j as a product formed out of place.
+    left-multiplied by R0 in place, one column at a time: ``top`` keeps the
+    column's top entry, and numpy forms one temporary product per added
+    term.  Every entry is the same rounded expression r_i0 B_0j + r_i1 B_1j
+    as a product formed out of place.
     """
-    sa, cm1 = f.values
-    a, b = g.values
-    G = np.empty((2, 2) + a.shape)
+    sa, cm1 = f
+    a, b = g
     np.add(cm1, 1.0, out=G[0, 0])
     G[0, 0] += a
     np.subtract(b, sa, out=G[0, 1])
     np.add(sa, b, out=G[1, 0])
     np.add(cm1, 1.0, out=G[1, 1])
     G[1, 1] -= a
-    r = r0.as_array()
-    top = np.empty_like(a)
     for j in range(2):
         np.copyto(top, G[0, j])
         G[0, j] *= r[0, 0]
         G[0, j] += r[0, 1] * G[1, j]
         G[1, j] *= r[1, 1]
         G[1, j] += r[1, 0] * top
-    return MatrixField2(f.grid, G)
+
+
+def _gradient(f: VectorField2, g: VectorField2, r0: mat2.Rotation) -> MatrixField2:
+    """R0 (R(alpha) + [[a, b], [b, -a]]) from f = (sin alpha, cos alpha - 1)
+    and g = (a, b), as the synthesis writes it (:func:`_gradient_sweep`)."""
+    return MatrixField2(f.grid, _gradient_sweep(f, g, r0)[0])
 
 
 def assemble_gradient(
@@ -194,18 +209,40 @@ def rigidity_ratio(G: MatrixField2, curl_tol: float = CURL_TOL) -> ExtremalRepor
     mean.  Raises :class:`ZeroDistance` when G is a rotation field a.e.
     (the rigidity quotient is then 0/0).
     """
-    return _certificate(G, check_gradient(G, curl_tol))
+    curl_residual = check_gradient(G, curl_tol)
+    strips = row_strips(G.grid.n)
+    parts = np.empty((len(strips), 5))  # per strip: dist^2, the entries of G
+    for k, rows in enumerate(strips):
+        Gs = G.values[:, :, rows]
+        parts[k, 0] = _dist_sq_sum(Gs)
+        parts[k, 1:] = _entry_sums(Gs)
+    sums = tree_sum(parts)
+    return _certificate(G, curl_residual, sums[0], _mean(G.grid, sums[1:]))
 
 
-def _certificate(G: MatrixField2, curl_residual: float) -> ExtremalReport:
-    area = G.grid.cell_area
-    v = G.values
-    dist2 = mat2.dist_so2_arrays(v[0, 0], v[0, 1], v[1, 0], v[1, 1])
-    rhs = float(area * np.square(dist2, out=dist2).sum())
-    del dist2
+def _dist_sq_sum(Gs: np.ndarray) -> float:
+    """Sum of dist^2(G, SO(2)) over the samples of a (2, 2, h, n) strip."""
+    dist = mat2.dist_so2_arrays(Gs[0, 0], Gs[0, 1], Gs[1, 0], Gs[1, 1])
+    return np.square(dist, out=dist).sum()
 
-    mean = mat2.Mat2.from_array(G.mean())
-    rstar = mat2.closest_rotation(mean)
+
+def _entry_sums(Gs: np.ndarray) -> list:
+    """Sums of the four entries over a (2, 2, h, n) strip, entry by entry."""
+    return [Gs[i, j].sum() for i in range(2) for j in range(2)]
+
+
+def _mean(grid: PeriodicGrid, entry_sums: np.ndarray) -> np.ndarray:
+    """Grid mean of a matrix field from the sums of its four entries."""
+    return entry_sums.reshape(2, 2) / grid.n**2
+
+
+def _certificate(
+    G: MatrixField2, curl_residual: float, dist_sq_sum: float, mean: np.ndarray
+) -> ExtremalReport:
+    """Report from the row-curl residual, the summed dist^2(G, SO(2)) and the
+    mean of G; one more sweep sums |G - R*|^2."""
+    rhs = float(G.grid.cell_area * dist_sq_sum)
+    rstar = mat2.closest_rotation(mat2.Mat2.from_array(mean))
     lhs = _lhs_at(G, rstar.theta)
 
     if rhs <= ZERO_DISTANCE_EPS * max(1.0, lhs):
@@ -222,20 +259,62 @@ def _certificate(G: MatrixField2, curl_residual: float) -> ExtremalReport:
     )
 
 
-def _lhs_at(G: MatrixField2, theta: float) -> float:
-    """Integral of |G - R(theta)|^2, summed entry by entry in one scratch
-    plane.  Taken directly, not as the moment form |G|^2 - 2 tr(R^T G) + 2,
-    whose terms are O(L^2) against an O(1) result and cancel away about
-    three digits at L = 20."""
-    c, s = math.cos(theta), math.sin(theta)
-    R = ((c, -s), (s, c))
-    diff = np.empty_like(G.values[0, 0])
-    total = 0.0
+def _lhs_terms(Gs: np.ndarray, R, diff: np.ndarray, out: np.ndarray) -> None:
+    """Sums of (G_ij - R_ij)^2 over a (2, 2, h, n) strip into ``out`` (4,),
+    each formed in the scratch plane ``diff``."""
     for i in range(2):
         for j in range(2):
-            np.subtract(G.values[i, j], R[i][j], out=diff)
-            total += np.square(diff, out=diff).sum()
-    return float(G.grid.cell_area * total)
+            np.subtract(Gs[i, j], R[i][j], out=diff)
+            out[2 * i + j] = np.square(diff, out=diff).sum()
+
+
+def _lhs_total(grid: PeriodicGrid, terms: np.ndarray) -> float:
+    """Integral of |G - R|^2 from its four per-entry sums, added in order."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return float(grid.cell_area * total)
+
+
+def _lhs_at(G: MatrixField2, theta: float) -> float:
+    """Integral of |G - R(theta)|^2, summed entry by entry and strip by
+    strip.  Taken directly, not as the moment form |G|^2 - 2 tr(R^T G) + 2,
+    whose terms are O(L^2) against an O(1) result and cancel away about
+    three digits at L = 20."""
+    n = G.grid.n
+    c, s = math.cos(theta), math.sin(theta)
+    R = ((c, -s), (s, c))
+    strips = row_strips(n)
+    diff = np.empty((strips[0].stop, n))
+    parts = np.empty((len(strips), 4))
+    for k, rows in enumerate(strips):
+        _lhs_terms(G.values[:, :, rows], R, diff, parts[k])
+    return _lhs_total(G.grid, tree_sum(parts))
+
+
+def _gradient_sweep(
+    f: VectorField2, g: VectorField2, r0: mat2.Rotation
+) -> tuple[np.ndarray, np.ndarray]:
+    """G from (f, g), row strip by row strip, plus the sums the certificate
+    needs, taken while each strip is in cache.
+
+    The sums, combined over the strips: f^2 and g^2 per component (4),
+    dist^2(G, SO(2)), the four entries of G, and |G_ij - R0_ij|^2 (4).
+    """
+    n = f.grid.n
+    r = r0.as_array()
+    strips = row_strips(n)
+    G = np.empty((2, 2, n, n))
+    scratch = np.empty((strips[0].stop, n))
+    parts = np.empty((len(strips), 13))
+    for k, rows in enumerate(strips):
+        fs, gs, Gs, p = f.values[:, rows], g.values[:, rows], G[:, :, rows], parts[k]
+        p[:4] = [np.square(v, out=scratch).sum() for v in (*fs, *gs)]
+        _gradient_rows(fs, gs, r, Gs, scratch)
+        p[4] = _dist_sq_sum(Gs)
+        p[5:9] = _entry_sums(Gs)
+        _lhs_terms(Gs, r, scratch, p[9:])
+    return G, tree_sum(parts)
 
 
 def synthesize_extremal(
@@ -247,33 +326,60 @@ def synthesize_extremal(
     report carries the pipeline norms and, since the far-field rotation is
     known here, the left-hand side measured against it as well.
 
-    Memory: each stage writes into its output with at most a few scratch
-    planes beside the fields it must keep.  The norms of alpha, f and g are
-    taken before G is built, and f and g are dropped before the 4-plane
-    transform of G, which the single curl check reads and the returned
-    field keeps.  Both left-hand sides are summed from G - R directly (see
-    :func:`_lhs_at`), never from the moments of G.
+    Every pointwise stage runs over row strips of ``STRIP_ELEMENTS``
+    samples (:func:`~kornlab.gridfield.row_strips`), so its temporaries stay
+    in cache; only the three FFTs (f-hat, g, G-hat) see whole planes.  One
+    sweep over the rows of (f, g) writes G and, while each strip is in
+    cache, sums f^2 and g^2 for the norms, dist^2(G, SO(2)) for the
+    right-hand side, the entries of G for its mean (hence R*), and
+    |G - R0|^2 for the left-hand side at the far-field rotation.  After the
+    single curl check on G-hat, a second sweep sums |G - R*|^2.  Both
+    left-hand sides are summed from G - R directly (see :func:`_lhs_at`),
+    never from the moments of G.  The per-strip sums are combined by
+    :func:`~kornlab.gridfield.tree_sum`, which reproduces numpy's
+    whole-plane sums bit for bit, so no reported number depends on the
+    strip height.
+
+    Memory: g-hat overwrites f-hat, and f and g are dropped before the
+    4-plane transform of G, which the curl check reads and the returned
+    field keeps.
     """
     assert_compact_support(alpha)
+    grid = alpha.grid
+    alpha_norm = alpha.norm_l2()
     f = build_f(alpha)
     g = solve_g(f)
-    norms = alpha.norm_l2(), f.norm_l2(), g.norm_l2()
-    G = _gradient(f, g, r0)
+    G, sums = _gradient_sweep(f, g, r0)
     del f, g
-    ghat = half_spectrum(G.values)
-    report = _certificate(G, check_gradient(G, CURL_TOL, ghat))
-    extremal = ExtremalField(G.grid, ghat, G.mean())
+    G = MatrixField2(grid, G)
 
-    report.alpha_norm, report.f_norm, report.g_norm = norms
+    ghat = half_spectrum(G.values)
+    mean = _mean(grid, sums[5:9])
+    report = _certificate(G, check_gradient(G, CURL_TOL, ghat), sums[4], mean)
+    extremal = ExtremalField(grid, ghat, mean)
+
+    report.alpha_norm = alpha_norm
+    report.f_norm = math.sqrt(grid.cell_area * float(sums[0] + sums[1]))
+    report.g_norm = math.sqrt(grid.cell_area * float(sums[2] + sums[3]))
     report.theta0 = r0.theta
-    report.lhs_at_theta0 = _lhs_at(G, r0.theta)
+    report.lhs_at_theta0 = _lhs_total(grid, sums[9:])
     report.ratio_at_theta0 = report.lhs_at_theta0 / (2.0 * report.rhs)
     return extremal, report
 
 
 # ---------------------------------------------------------------------------
-# Analytic angle profiles.
+# Analytic angle profiles, written row strip by row strip.
 # ---------------------------------------------------------------------------
+
+def _gaussian_rows(out: np.ndarray, grid: PeriodicGrid, rows: slice,
+                   center: tuple[float, float], width: float) -> np.ndarray:
+    """exp(-|x - c|^2 / (2 width^2)) on the rows of one strip, into ``out``."""
+    cx, cy = center
+    np.add((grid.x[rows] - cx) ** 2, (grid.y - cy) ** 2, out=out)
+    np.negative(out, out=out)
+    out /= 2.0 * width**2
+    return np.exp(out, out=out)
+
 
 def gaussian_bump(
     grid: PeriodicGrid,
@@ -282,9 +388,11 @@ def gaussian_bump(
     center: tuple[float, float] = (0.0, 0.0),
 ) -> ScalarField:
     """Radial Gaussian bump alpha = amplitude * exp(-|x - c|^2 / (2 width^2))."""
-    cx, cy = center
-    r2 = (grid.x - cx) ** 2 + (grid.y - cy) ** 2
-    return ScalarField(grid, amplitude * np.exp(-r2 / (2.0 * width**2)))
+    alpha = np.empty((grid.n, grid.n))
+    for rows in row_strips(grid.n):
+        _gaussian_rows(alpha[rows], grid, rows, center, width)
+        alpha[rows] *= amplitude
+    return ScalarField(grid, alpha)
 
 
 def dipole_bump(
@@ -300,6 +408,11 @@ def dipole_bump(
     rotation instead of being tilted by the O(1/L^2) mean of f.
     """
     ox, oy = offset
-    pos = np.exp(-((grid.x - ox) ** 2 + (grid.y - oy) ** 2) / (2.0 * width**2))
-    neg = np.exp(-((grid.x + ox) ** 2 + (grid.y + oy) ** 2) / (2.0 * width**2))
-    return ScalarField(grid, amplitude * (pos - neg))
+    strips = row_strips(grid.n)
+    alpha = np.empty((grid.n, grid.n))
+    neg = np.empty((strips[0].stop, grid.n))
+    for rows in strips:
+        pos = _gaussian_rows(alpha[rows], grid, rows, (ox, oy), width)
+        pos -= _gaussian_rows(neg, grid, rows, (-ox, -oy), width)
+        pos *= amplitude
+    return ScalarField(grid, alpha)

@@ -435,3 +435,69 @@ class TestConfigHandling:
         first.pop("timestamp")
         second.pop("timestamp")
         assert first == second
+
+
+@pytest.mark.parametrize("given", [
+    ["--width", "0.3"],
+    ["--profile", "gaussian-bump"],
+    ["--center", "2,2"],
+    ["--amplitude", "0.5"],
+    ["--n", "64"],
+    ["--box", "30"],
+    {"n": 512},
+    {"box": 20.0},
+    {"profile": "dipole-bump", "width": 0.8},
+], ids=["width", "profile", "center", "amplitude", "n", "box", "config-n", "config-box",
+        "config-profile-width"])
+def test_profile_settings_with_alpha_file_exit_2(tmp_path, capsys, given):
+    # these used to run on the file's field while the report recorded them
+    path = tmp_path / "alpha.json"
+    save_field(ScalarField(PeriodicGrid(64, 20.0), np.zeros((64, 64))), path)
+    if isinstance(given, dict):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(given))
+        keys, given = list(given), ["--config", str(config)]
+    else:
+        keys = [given[0][2:]]
+    assert run(["rigidity", "--alpha-file", str(path)] + given) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kornlab: invalid input:")
+    assert all(key in err for key in keys) and "alpha_file" in err
+
+
+def test_alpha_file_report_records_the_file_grid(tmp_path):
+    from kornlab.rigidity import dipole_bump
+
+    path, report = tmp_path / "alpha.json", tmp_path / "report.json"
+    save_field(dipole_bump(PeriodicGrid(64, 24.0)), path)
+    assert run(["rigidity", "--alpha-file", str(path), "--r0", "0.5",
+                "--report", str(report)]) == 0
+    config = json.loads(report.read_text())["config"]
+    assert config == {"alpha_file": str(path), "r0": 0.5, "n": 64, "box": 24.0,
+                      "report": str(report)}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("korn", "refine", 1.9),
+    ("korn", "refine", True),
+    ("rigidity", "n", 64.5),
+    ("shell", "angular", 2048.0),
+    ("selftest", "samples", 200.5),
+    ("selftest", "samples", " 200"),
+], ids=["refine-float", "refine-bool", "n-float", "angular-integral-float",
+        "samples-float", "samples-padded-string"])
+def test_integer_flag_takes_only_integers_from_config(tmp_path, capsys, command, key, value):
+    # int() used to truncate these (or read true as 1), and the report kept
+    # the value as given
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: value}))
+    assert run([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"kornlab: invalid input: config key {key!r}")
+
+
+def test_integer_flag_takes_digit_string_from_config(tmp_path):
+    config, report = tmp_path / "cfg.json", tmp_path / "report.json"
+    config.write_text(json.dumps({"refine": "1"}))
+    assert run(["korn", "--config", str(config), "--report", str(report)]) == 0
+    assert len(json.loads(report.read_text())["result"]["levels"]) == 2

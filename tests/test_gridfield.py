@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kornlab import gridfield
 from kornlab.errors import CurlResidualTooLarge
 from kornlab.gridfield import (
     MatrixField2,
@@ -310,6 +311,27 @@ class TestSupportCheck:
         assert support_margin_mass(f) > 0.1
         with pytest.raises(ValueError):
             assert_compact_support(f)
+
+
+class TestStripSums:
+    @pytest.mark.parametrize("budget, strips", [(128, 8), (2048, 2)],
+                             ids=["8-strips", "2-strips"])
+    def test_strip_sums_equal_whole_plane_sums(self, monkeypatch, budget, strips):
+        # a non-gradient field: the curl powers are O(1), not roundoff
+        grid = PeriodicGrid(64, 20.0)
+        G = MatrixField2(grid, np.random.default_rng(3).standard_normal((2, 2, 64, 64)))
+        assert len(gridfield.row_strips(64)) == 1
+        whole = (G.row_curl_residual(), G.norm_l2(), support_margin_mass(G))
+        assert whole[1] == math.sqrt(grid.cell_area * float((G.values**2).sum()))
+        monkeypatch.setattr(gridfield, "STRIP_ELEMENTS", budget)
+        assert len(gridfield.row_strips(64)) == strips  # at least 8 rows each
+        assert (G.row_curl_residual(), G.norm_l2(), support_margin_mass(G)) == whole
+
+    def test_tree_sum_pairs_neighbours_and_needs_a_power_of_two(self):
+        parts = np.array([1e16, 1.0, -1e16, 1.0])
+        assert gridfield.tree_sum(parts) == (1e16 + 1.0) + (-1e16 + 1.0)
+        with pytest.raises(ValueError, match="power-of-two"):
+            gridfield.tree_sum(parts[:3])
 
 
 class TestSerialization:

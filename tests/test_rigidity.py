@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kornlab import mat2
+from kornlab import gridfield, mat2
 from kornlab import rigidity as rg
 from kornlab.errors import CurlResidualTooLarge, ZeroDistance
 from kornlab.gridfield import (
@@ -469,6 +469,49 @@ class TestInPlaceSynthesisOracle:
         assert np.array_equal(
             rg._gradient(VectorField2(grid, f), VectorField2(grid, g), rot).values,
             _oracle_gradient(f, g, rot))
+
+
+class TestStripSweeps:
+    """Row-strip sweeps combine per-strip sums in a binary tree, which must
+    give numpy's whole-plane sums bit for bit whatever the strip count."""
+
+    @pytest.mark.parametrize("n, profile, r0, budget", [
+        (64, lambda gr: rg.gaussian_bump(gr, amplitude=0.9, center=(0.5, -0.3)), 0.3, 512),
+        (256, rg.dipole_bump, 1.0472, 8192),
+    ], ids=["gaussian-n64", "dipole-n256"])
+    def test_many_strips_match_one_strip_and_the_oracle(self, monkeypatch, n, profile,
+                                                        r0, budget):
+        grid, rot = PeriodicGrid(n, 20.0), mat2.Rotation(r0)
+        assert len(gridfield.row_strips(n)) == 1
+        alpha = profile(grid)
+        extremal, report = rg.synthesize_extremal(alpha, rot)
+        mass = gridfield.support_margin_mass(alpha)
+
+        monkeypatch.setattr(gridfield, "STRIP_ELEMENTS", budget)
+        assert len(gridfield.row_strips(n)) >= 8
+        strip_alpha = profile(grid)
+        strip_extremal, strip_report = rg.synthesize_extremal(strip_alpha, rot)
+        assert np.array_equal(strip_alpha.values, alpha.values)
+        assert gridfield.support_margin_mass(strip_alpha) == mass
+        assert strip_report.to_dict() == report.to_dict()
+        assert np.array_equal(strip_extremal.ghat, extremal.ghat)
+        assert np.array_equal(strip_extremal.affine, extremal.affine)
+
+        f = _oracle_build_f(alpha)
+        g = _oracle_solve_g(grid, f)
+        G = _oracle_gradient(f, g, rot)
+        ghat = half_spectrum(G)
+        expected = _oracle_certificate(grid, G, ghat)
+        expected["alpha_norm"] = math.sqrt(grid.cell_area * float((alpha.values**2).sum()))
+        expected["f_norm"] = math.sqrt(grid.cell_area * float((f**2).sum()))
+        expected["g_norm"] = math.sqrt(grid.cell_area * float((g**2).sum()))
+        expected["lhs_at_theta0"] = _oracle_lhs_at(grid, G, rot.theta)
+        expected["ratio_at_theta0"] = expected["lhs_at_theta0"] / (2.0 * expected["rhs"])
+        _assert_report_matches(strip_report, expected)
+        assert np.array_equal(strip_extremal.ghat, ghat)
+        assert np.array_equal(strip_extremal.affine, G.mean(axis=(-2, -1)))
+        assert np.array_equal(rg._gradient(VectorField2(grid, f), VectorField2(grid, g),
+                                           rot).values, G)
 
 
 def test_dipole_synthesis_holds_at_most_14_planes():
