@@ -98,13 +98,15 @@ def _flag_accepts(action: argparse.Action, value) -> bool:
     """Whether a config value is one its flag accepts: a JSON integer or a
     digit string for an integer flag, a value its ``type`` converts for any
     other typed flag, a string (one of the ``choices``, if any) for a text
-    flag, a boolean for a switch; ``center`` may be two numbers, ``h_list`` a
-    list."""
+    flag, a boolean for a switch and for no other flag; ``center`` may be two
+    numbers, ``h_list`` a list."""
     if isinstance(value, list) and all(type(x) in (int, float) for x in value):
         if action.dest == "h_list" or (action.dest == "center" and len(value) == 2):
             return True
     if action.const is not None:
         return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
     if action.type is int:
         # int() would truncate 1.9 and accept true; neither is an integer
         return type(value) is int or (isinstance(value, str)
@@ -185,26 +187,33 @@ def _coeff_map(terms, part: str) -> dict[int, float]:
 def cmd_korn(args: argparse.Namespace) -> int:
     keys = {"domain", "refine", "bc", "tol", "mesh_file", "store_maximizer", "report"}
     config = _merge_config(args, keys)
-    config.setdefault("domain", "square")
-    config.setdefault("refine", 5)
+    if config.get("mesh_file"):
+        unused = [key for key in ("domain", "refine") if key in config]
+        if unused:
+            raise ValueError(f"{', '.join(unused)}: not used with mesh_file, "
+                             "whose mesh sets the domain and the level")
+    else:
+        config.setdefault("domain", "square")
+        config.setdefault("refine", 5)
+        if int(config["refine"]) < 0:
+            raise ValueError(f"refine must be a non-negative integer, got {config['refine']}")
     config.setdefault("bc", "tangential")
     config.setdefault("tol", 1e-10)
     config.setdefault("store_maximizer", False)
+    tol = _finite(config, "tol")
+    if tol <= 0.0:
+        raise ValueError(f"tol must be positive, got {config['tol']!r}")
 
     from . import kornfem
     from .mesh import load_mesh
 
     if config.get("mesh_file"):
         mesh = _load(load_mesh, config["mesh_file"], "mesh file")
-        estimates = [kornfem.korn_constant(mesh, bc=config["bc"], tol=float(config["tol"]))]
+        estimates = [kornfem.korn_constant(mesh, bc=config["bc"], tol=tol)]
     else:
-        if int(config["refine"]) < 0:
-            raise ValueError(f"refine must be a non-negative integer, got {config['refine']}")
         # level 1 upward: level-0 stock meshes have no admissible fields
         levels = list(range(1, int(config["refine"]) + 2))
-        estimates = kornfem.korn_sweep(
-            config["domain"], levels, bc=config["bc"], tol=float(config["tol"])
-        )
+        estimates = kornfem.korn_sweep(config["domain"], levels, bc=config["bc"], tol=tol)
     seq = [est.kappa_sq for est in estimates]
     # Only the structured square meshes refine into nested spaces, where the
     # sequence must not decrease; elsewhere monotonicity is not expected.

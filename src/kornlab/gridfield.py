@@ -183,10 +183,8 @@ class _Field:
     def norm_l2(self) -> float:
         """L2 norm, squared strip by strip; equal to the whole-array sum."""
         n = self.grid.n
-        strips = row_strips(n)
-        square = np.empty((strips[0].stop, n))
-        parts = [np.square(plane[rows], out=square).sum()
-                 for plane in self.values.reshape(-1, n, n) for rows in strips]
+        parts = [(plane[rows] ** 2).sum()
+                 for plane in self.values.reshape(-1, n, n) for rows in row_strips(n)]
         return math.sqrt(self.grid.cell_area * float(tree_sum(parts)))
 
     def _grad_hat(self) -> np.ndarray:
@@ -247,38 +245,29 @@ class MatrixField2(_Field):
         Both norms come from ``spectrum``, the field's :func:`half_spectrum`
         (computed when not given), by Plancherel.  The powers |coeff|^2 are
         formed one row strip of the half spectrum at a time, from the real
-        and imaginary parts, in strip buffers, so no complex copy of the
-        spectrum is made.  Each power is summed per strip, its first and
-        last columns are kept, and the strips combine by :func:`tree_sum`:
-        strips of at least 8 rows of odd length n/2 + 1 split where numpy's
-        pairwise sum of the whole half plane does, so the result is the
-        whole-plane one bit for bit."""
+        and imaginary parts, so no complex copy of the spectrum is made.
+        Each power is summed per strip, its first and last columns are kept,
+        and the strips combine by :func:`tree_sum`: strips of at least 8 rows
+        of odd length n/2 + 1 split where numpy's pairwise sum of the whole
+        half plane does, so the result is the whole-plane one bit for bit."""
         g = self.grid
         ghat = half_spectrum(self.values) if spectrum is None else spectrum
         strips = row_strips(g.n)
-        # one strip of each power: curl_0, grad_00, grad_01, curl_1, grad_10, grad_11
-        power = np.empty((6, strips[0].stop, ghat.shape[-1]))
-        part = np.empty_like(power[0])
-        sums = np.empty((len(strips), 6))
-        edges = np.empty((2, 6, g.n))  # the powers on the first and last column
+        # one strip of each power: row i holds curl_i, grad_i0, grad_i1
+        power = np.empty((2, 3, strips[0].stop, ghat.shape[-1]))
+        sums = np.empty((len(strips), 2, 3))
+        edges = np.empty((2, 2, 3, g.n))  # the powers on the first and last column
         for k, rows in enumerate(strips):
             re, im = ghat[:, :, rows].real, ghat[:, :, rows].imag
             dkx = g.dkx[rows]
             for i in range(2):
                 # curl = dkx * ghat[i, 1] - dky * ghat[i, 0], part by part
-                curl = power[3 * i]
-                np.multiply(dkx, re[i, 1], out=curl)
-                np.square(np.subtract(curl, g.dky * re[i, 0], out=curl), out=curl)
-                np.multiply(dkx, im[i, 1], out=part)
-                np.square(np.subtract(part, g.dky * im[i, 0], out=part), out=part)
-                curl += part
-                for j, grad in enumerate(power[3 * i + 1: 3 * i + 3]):
-                    np.square(re[i, j], out=grad)
-                    grad += np.square(im[i, j], out=part)
-                    grad *= g.dk2[rows]
+                power[i, 0] = ((dkx * re[i, 1] - g.dky * re[i, 0]) ** 2
+                               + (dkx * im[i, 1] - g.dky * im[i, 0]) ** 2)
+                power[i, 1:] = (re[i] ** 2 + im[i] ** 2) * g.dk2[rows]
             sums[k] = power.sum(axis=(-2, -1))
-            edges[0, :, rows], edges[1, :, rows] = power[..., 0], power[..., -1]
-        norms2 = g._plancherel_from_sums(tree_sum(sums), edges[0], edges[1]).reshape(2, 3)
+            edges[0, ..., rows], edges[1, ..., rows] = power[..., 0], power[..., -1]
+        norms2 = g._plancherel_from_sums(tree_sum(sums), edges[0], edges[1])
         curls, grads = norms2[:, 0], norms2[:, 1:].sum(axis=1)
         return float(np.sqrt(curls).max() / max(np.sqrt(grads).sum(), 1e-300))
 
@@ -375,14 +364,12 @@ def support_margin_mass(field) -> float:
     g = field.grid
     margin = SUPPORT_MARGIN_FRACTION * g.length
     edge = g.length / 2.0 - margin
-    strips = row_strips(g.n)
-    v2 = np.empty((strips[0].stop, g.n))
     parts = []  # (sum of v^2, sum of v^2 in the margin) per plane and strip
     for plane in field.values.reshape(-1, g.n, g.n):
-        for rows in strips:
+        for rows in row_strips(g.n):
             mask = (np.abs(g.x[rows]) >= edge) | (np.abs(g.y) >= edge)
-            np.square(plane[rows], out=v2)
-            parts.append((v2.sum(), np.multiply(v2, mask, out=v2).sum()))
+            v2 = plane[rows] ** 2
+            parts.append((v2.sum(), (v2 * mask).sum()))
     total, tail = (float(s) for s in tree_sum(parts))
     if total == 0.0:
         return 0.0
@@ -443,10 +430,9 @@ def load_field(path):
     for key in ("n", "L", "components", "format", "data"):
         if key not in header:
             raise ValueError(f"field header misses required key {key!r}")
-    comps = int(header["components"])
+    comps, n = int(header["components"]), int(header["n"])
     if comps not in _FIELD_KINDS:
         raise ValueError(f"unsupported component count {comps}")
-    grid = PeriodicGrid(int(header["n"]), float(header["L"]))
     data_path = path.with_name(header["data"])
     if header["format"] == "bin":
         raw = np.fromfile(data_path, dtype="<f8")
@@ -456,9 +442,9 @@ def load_field(path):
         raw = raw.reshape(-1)
     else:
         raise ValueError(f"unknown field format {header['format']!r}")
-    if raw.size != comps * grid.n**2:
-        raise ValueError(
-            f"payload holds {raw.size} samples, expected {comps * grid.n ** 2}"
-        )
+    # checked before the grid, whose wavenumber planes are n x (n/2 + 1)
+    if raw.size != comps * n**2:
+        raise ValueError(f"payload holds {raw.size} samples, expected {comps * n ** 2}")
+    grid = PeriodicGrid(n, float(header["L"]))
     kind = _FIELD_KINDS[comps]
-    return kind(grid, raw.reshape(kind.components + (grid.n, grid.n)))
+    return kind(grid, raw.reshape(kind.components + (n, n)))

@@ -168,40 +168,11 @@ def split_arrays(m11, m12, m21, m22):
     return c_a, c_b, a_a, a_b
 
 
-def _half_square(op, x, y, out):
-    """((x op y) / 2)^2 written into ``out``."""
-    op(x, y, out=out)
-    out *= 0.5
-    return np.square(out, out=out)
-
-
 def dist_so2_arrays(m11, m12, m21, m22):
-    """Vectorized distance to SO(2), sqrt(2 (r_c - 1)^2 + 2 (a_a^2 + a_b^2)).
-
-    The same rounded operations as the :func:`split_arrays` form, written
-    into the result and two scratch arrays of the broadcast shape instead of
-    a temporary per step; inputs broadcast as for any ufunc, and 0-d inputs
-    give a scalar.
-    """
-    m11, m12, m21, m22 = (m if np.isscalar(m) else np.asarray(m)
-                          for m in (m11, m12, m21, m22))
-    shape = np.broadcast_shapes(*(np.shape(m) for m in (m11, m12, m21, m22)))
-    dtype = np.result_type(m11, m12, m21, m22, 0.5)
-    out, s, t = (np.empty(shape, dtype) for _ in range(3))
-    # 2 (r_c - 1)^2 with r_c^2 = c_a^2 + c_b^2
-    _half_square(np.add, m11, m22, s)
-    s += _half_square(np.subtract, m12, m21, t)
-    np.sqrt(s, out=s)
-    s -= 1.0
-    np.square(s, out=s)
-    s *= 2.0
-    # plus 2 (a_a^2 + a_b^2)
-    _half_square(np.subtract, m11, m22, out)
-    out += _half_square(np.add, m12, m21, t)
-    out *= 2.0
-    out += s
-    np.sqrt(out, out=out)
-    return out if out.ndim else out[()]
+    """Vectorized distance to SO(2), sqrt(2 (r_c - 1)^2 + 2 (a_a^2 + a_b^2))."""
+    c_a, c_b, a_a, a_b = split_arrays(m11, m12, m21, m22)
+    r_c = np.sqrt(c_a**2 + c_b**2)
+    return np.sqrt(2.0 * (r_c - 1.0) ** 2 + 2.0 * (a_a**2 + a_b**2))
 
 
 def dist_so2_bruteforce(m11, m12, m21, m22, coarse: int = 1024, rounds: int = 9):

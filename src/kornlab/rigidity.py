@@ -98,10 +98,8 @@ def build_f(alpha: ScalarField) -> VectorField2:
     """
     f = np.empty((2,) + alpha.values.shape)
     for rows in row_strips(alpha.grid.n):
-        cm1 = f[1, rows]
-        np.sin(alpha.values[rows], out=f[0, rows])
-        np.cos(alpha.values[rows], out=cm1)
-        cm1 -= 1.0
+        a = alpha.values[rows]
+        f[:, rows] = np.sin(a), np.cos(a) - 1.0
     return VectorField2(alpha.grid, f)
 
 
@@ -125,10 +123,7 @@ def solve_g(f: VectorField2) -> VectorField2:
     """
     grid = f.grid
     ghat = half_spectrum(f.values)
-    strips = row_strips(grid.n)
-    g1 = np.empty((strips[0].stop, ghat.shape[-1]), ghat.dtype)
-    term = np.empty_like(g1)
-    for rows in strips:
+    for rows in row_strips(grid.n):
         # Reflection matrix [[-c2, c1], [c1, c2]] with c1 = (kx^2-ky^2)/|k|^2,
         # c2 = 2 kx ky / |k|^2 on the derivative wavenumbers (Nyquist
         # dropped); at k = 0 use the x-axis limit c1 = 1, c2 = 0.  On the
@@ -141,41 +136,22 @@ def solve_g(f: VectorField2) -> VectorField2:
         c2 = 2.0 * dkx * grid.dky * inv_dk2
         if rows.start <= grid.n // 2 < rows.stop:
             c1[grid.n // 2 - rows.start, :] = -1.0
-        # g-hat = [[-c2, c1], [c1, c2]] f-hat; the second row goes to a
-        # strip buffer first, so that the first can overwrite f-hat_0
         f0, f1 = ghat[0, rows], ghat[1, rows]
-        np.multiply(c1, f0, out=g1)
-        g1 += np.multiply(c2, f1, out=term)
-        np.multiply(-c2, f0, out=f0)
-        f0 += np.multiply(c1, f1, out=term)
-        np.copyto(f1, g1)
+        ghat[0, rows], ghat[1, rows] = -c2 * f0 + c1 * f1, c1 * f0 + c2 * f1
     return VectorField2(grid, from_half_spectrum(ghat))
 
 
-def _gradient_rows(f, g, r: np.ndarray, G: np.ndarray, top: np.ndarray) -> None:
+def _gradient_rows(f, g, r: np.ndarray, G: np.ndarray) -> None:
     """R0 (R(alpha) + [[a, b], [b, -a]]) on the rows of one strip: f, g and
-    G are that strip's (2, h, n), (2, h, n) and (2, 2, h, n) views.
-
-    The four base planes are written straight into G, which is then
-    left-multiplied by R0 in place, one column at a time: ``top`` keeps the
-    column's top entry, and numpy forms one temporary product per added
-    term.  Every entry is the same rounded expression r_i0 B_0j + r_i1 B_1j
-    as a product formed out of place.
-    """
+    G are that strip's (2, h, n), (2, h, n) and (2, 2, h, n) views."""
     sa, cm1 = f
     a, b = g
-    np.add(cm1, 1.0, out=G[0, 0])
-    G[0, 0] += a
-    np.subtract(b, sa, out=G[0, 1])
-    np.add(sa, b, out=G[1, 0])
-    np.add(cm1, 1.0, out=G[1, 1])
-    G[1, 1] -= a
-    for j in range(2):
-        np.copyto(top, G[0, j])
-        G[0, j] *= r[0, 0]
-        G[0, j] += r[0, 1] * G[1, j]
-        G[1, j] *= r[1, 1]
-        G[1, j] += r[1, 0] * top
+    ca = cm1 + 1.0
+    base = ((ca + a, b - sa), (sa + b, ca - a))
+    for i in range(2):
+        for j in range(2):
+            np.multiply(r[i, 0], base[0][j], out=G[i, j])
+            G[i, j] += r[i, 1] * base[1][j]
 
 
 def _gradient(f: VectorField2, g: VectorField2, r0: mat2.Rotation) -> MatrixField2:
@@ -222,8 +198,7 @@ def rigidity_ratio(G: MatrixField2, curl_tol: float = CURL_TOL) -> ExtremalRepor
 
 def _dist_sq_sum(Gs: np.ndarray) -> float:
     """Sum of dist^2(G, SO(2)) over the samples of a (2, 2, h, n) strip."""
-    dist = mat2.dist_so2_arrays(Gs[0, 0], Gs[0, 1], Gs[1, 0], Gs[1, 1])
-    return np.square(dist, out=dist).sum()
+    return (mat2.dist_so2_arrays(Gs[0, 0], Gs[0, 1], Gs[1, 0], Gs[1, 1]) ** 2).sum()
 
 
 def _entry_sums(Gs: np.ndarray) -> list:
@@ -259,13 +234,9 @@ def _certificate(
     )
 
 
-def _lhs_terms(Gs: np.ndarray, R, diff: np.ndarray, out: np.ndarray) -> None:
-    """Sums of (G_ij - R_ij)^2 over a (2, 2, h, n) strip into ``out`` (4,),
-    each formed in the scratch plane ``diff``."""
-    for i in range(2):
-        for j in range(2):
-            np.subtract(Gs[i, j], R[i][j], out=diff)
-            out[2 * i + j] = np.square(diff, out=diff).sum()
+def _lhs_terms(Gs: np.ndarray, R) -> list:
+    """Sums of (G_ij - R_ij)^2 over a (2, 2, h, n) strip, entry by entry."""
+    return [((Gs[i, j] - R[i][j]) ** 2).sum() for i in range(2) for j in range(2)]
 
 
 def _lhs_total(grid: PeriodicGrid, terms: np.ndarray) -> float:
@@ -281,14 +252,9 @@ def _lhs_at(G: MatrixField2, theta: float) -> float:
     strip.  Taken directly, not as the moment form |G|^2 - 2 tr(R^T G) + 2,
     whose terms are O(L^2) against an O(1) result and cancel away about
     three digits at L = 20."""
-    n = G.grid.n
     c, s = math.cos(theta), math.sin(theta)
     R = ((c, -s), (s, c))
-    strips = row_strips(n)
-    diff = np.empty((strips[0].stop, n))
-    parts = np.empty((len(strips), 4))
-    for k, rows in enumerate(strips):
-        _lhs_terms(G.values[:, :, rows], R, diff, parts[k])
+    parts = [_lhs_terms(G.values[:, :, rows], R) for rows in row_strips(G.grid.n)]
     return _lhs_total(G.grid, tree_sum(parts))
 
 
@@ -305,15 +271,14 @@ def _gradient_sweep(
     r = r0.as_array()
     strips = row_strips(n)
     G = np.empty((2, 2, n, n))
-    scratch = np.empty((strips[0].stop, n))
     parts = np.empty((len(strips), 13))
     for k, rows in enumerate(strips):
         fs, gs, Gs, p = f.values[:, rows], g.values[:, rows], G[:, :, rows], parts[k]
-        p[:4] = [np.square(v, out=scratch).sum() for v in (*fs, *gs)]
-        _gradient_rows(fs, gs, r, Gs, scratch)
+        p[:4] = [(v**2).sum() for v in (*fs, *gs)]
+        _gradient_rows(fs, gs, r, Gs)
         p[4] = _dist_sq_sum(Gs)
         p[5:9] = _entry_sums(Gs)
-        _lhs_terms(Gs, r, scratch, p[9:])
+        p[9:] = _lhs_terms(Gs, r)
     return G, tree_sum(parts)
 
 

@@ -465,6 +465,18 @@ def test_profile_settings_with_alpha_file_exit_2(tmp_path, capsys, given):
     assert all(key in err for key in keys) and "alpha_file" in err
 
 
+def test_oversized_alpha_file_header_exits_2(tmp_path, capsys):
+    # this used to build the n = 2**24 grid and fail allocating it (exit 1)
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps({"n": 2**24, "L": 20.0, "components": 1,
+                                "format": "bin", "data": "alpha.bin"}))
+    np.zeros(16).astype("<f8").tofile(tmp_path / "alpha.bin")
+    assert run(["rigidity", "--alpha-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kornlab: invalid input:")
+    assert "payload holds 16 samples" in err
+
+
 def test_alpha_file_report_records_the_file_grid(tmp_path):
     from kornlab.rigidity import dipole_bump
 
@@ -496,8 +508,76 @@ def test_integer_flag_takes_only_integers_from_config(tmp_path, capsys, command,
     assert err.startswith(f"kornlab: invalid input: config key {key!r}")
 
 
+@pytest.mark.parametrize("command, given", [
+    ("rigidity", {"amplitude": True, "n": 64}),
+    ("rigidity", {"box": True, "n": 64}),
+    ("korn", {"tol": True, "refine": 1}),
+], ids=["amplitude", "box", "tol"])
+def test_float_flag_refuses_booleans_from_config(tmp_path, capsys, command, given):
+    # float() used to read true as 1.0, and the report kept true
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(given))
+    assert run([command, "--config", str(config)]) == 2
+    key = next(iter(given))
+    assert capsys.readouterr().err.startswith(f"kornlab: invalid input: config key {key!r}")
+
+
 def test_integer_flag_takes_digit_string_from_config(tmp_path):
     config, report = tmp_path / "cfg.json", tmp_path / "report.json"
     config.write_text(json.dumps({"refine": "1"}))
     assert run(["korn", "--config", str(config), "--report", str(report)]) == 0
     assert len(json.loads(report.read_text())["result"]["levels"]) == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_korn_tol_must_be_finite_and_positive(tmp_path, capsys, tol, source):
+    # inf used to stop after 3 iterations and look converged; nan and -1 ran
+    # 400 iterations and exited 4
+    argv = ["korn", "--domain", "square", "--bc", "dirichlet", "--refine", "4"]
+    if source == "flag":
+        argv.append(f"--tol={tol}")
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"tol": float(tol)}))
+        argv += ["--config", str(config)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("kornlab: invalid input: tol ")
+
+
+def _square_mesh_file(tmp_path):
+    from kornlab.mesh import save_mesh, unit_square
+
+    path = tmp_path / "mesh.json"
+    save_mesh(unit_square(4), path)
+    return path
+
+
+@pytest.mark.parametrize("given", [
+    ["--domain", "disk"],
+    ["--refine", "3"],
+    ["--domain", "square", "--refine", "1"],
+    {"domain": "square"},
+    {"refine": 5},
+], ids=["domain", "refine", "domain-refine", "config-domain", "config-refine"])
+def test_sweep_settings_with_mesh_file_exit_2(tmp_path, capsys, given):
+    # these used to run on the file's mesh while the report recorded them
+    path = _square_mesh_file(tmp_path)
+    if isinstance(given, dict):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(given))
+        keys, given = list(given), ["--config", str(config)]
+    else:
+        keys = [flag[2:] for flag in given[::2]]
+    assert run(["korn", "--mesh-file", str(path)] + given) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kornlab: invalid input:")
+    assert all(key in err for key in keys) and "mesh_file" in err
+
+
+def test_mesh_file_report_records_no_sweep_settings(tmp_path):
+    path, report = _square_mesh_file(tmp_path), tmp_path / "report.json"
+    assert run(["korn", "--mesh-file", str(path), "--report", str(report)]) == 0
+    config = json.loads(report.read_text())["config"]
+    assert config == {"mesh_file": str(path), "bc": "tangential", "tol": 1e-10,
+                      "store_maximizer": False, "report": str(report)}

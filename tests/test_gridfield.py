@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -370,3 +371,13 @@ class TestSerialization:
         (tmp_path / "s.bin").write_bytes(b"\x00" * 8)
         with pytest.raises(ValueError):
             load_field(tmp_path / "s.json")
+
+    def test_oversized_header_is_refused_before_the_grid(self, tmp_path):
+        # the grid of n = 2**24 would need petabytes of wavenumber planes,
+        # so the payload size must be compared with the header first
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 2**24, "L": 20.0, "components": 1,
+                                    "format": "bin", "data": "big.bin"}))
+        np.zeros(16).astype("<f8").tofile(tmp_path / "big.bin")
+        with pytest.raises(ValueError, match="payload holds 16 samples"):
+            load_field(path)
