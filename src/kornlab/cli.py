@@ -7,11 +7,12 @@ Subcommands::
     kornlab shell     thin-shell blow-up experiment (CSV table + JSON summary)
     kornlab selftest  run the cross-module invariant suites
 
-Every subcommand accepts ``--config FILE`` (flat JSON; explicit flags win)
-and writes a JSON report embedding the exact configuration and the library
-version.  Reports are deterministic for a fixed (config, seed) apart from
-the timestamp field.  Exit codes: 0 success, 2 invalid input, 3 mathematical
-degeneracy, 4 solver failure.
+Each subcommand's keys are its table in :data:`OPTIONS`.  Every subcommand
+accepts ``--config FILE`` (flat JSON; explicit flags win) and writes a JSON
+report embedding the exact configuration and the library version.  Reports
+are deterministic for a fixed (config, seed) apart from the timestamp field.
+Exit codes: 0 success, 1 a ``selftest`` property failed, 2 invalid input,
+3 mathematical degeneracy, 4 solver failure or a non-finite result.
 """
 
 from __future__ import annotations
@@ -25,6 +26,16 @@ import re
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
+
+from .errors import (
+    CurlResidualTooLarge,
+    DegenerateRotation,
+    InfiniteQuotient,
+    MeshValidationError,
+    SolverFailure,
+    ZeroDistance,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -54,7 +65,10 @@ def _report_envelope(command: str, config: dict, result: dict) -> dict:
 
 
 def _write_report(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # nan or infinity, which JSON cannot hold
+        raise SolverFailure(f"the result holds a non-finite number ({exc})") from None
     if path:
         Path(path).write_text(text)
     else:
@@ -73,70 +87,157 @@ def _load(loader, path, what: str):
         raise ValueError(f"cannot read {what}: {exc}") from exc
 
 
-def _merge_config(args: argparse.Namespace, parser_keys: set[str]) -> dict:
-    """Flat-JSON config with CLI-flag override precedence."""
-    config = {}
-    if args.config:
-        loaded = _load(_read_json, args.config, "config file")
-        if not isinstance(loaded, dict):
-            raise ValueError("config file must hold a flat JSON object")
-        unknown = set(loaded) - parser_keys
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in loaded.items():
-            if not _flag_accepts(args.flags[key], value):
-                raise ValueError(f"config key {key!r}: invalid value {value!r}")
-        config.update(loaded)
-    for key in parser_keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
-    return config
+class Opt(NamedTuple):
+    """One key of a subcommand: its flag, its config key and its report entry.
+
+    ``kind`` is int, float, str, bool (a switch), tuple (two numbers), list
+    (numbers) or a tuple of the accepted strings.  ``default`` is recorded
+    when the key applies and is not given (None: left out; a callable: from
+    the values of the keys before it).  Numbers are finite, ``sign`` is
+    "positive" or "non-negative", ``hi`` is a number or the key that holds
+    it.  While its ``fixed_by`` file key is given, the key is refused.
+    """
+
+    kind: object
+    default: object = None
+    sign: str | None = None
+    hi: float | str | None = None
+    fixed_by: str | None = None
+    help: str | None = None
 
 
-def _flag_accepts(action: argparse.Action, value) -> bool:
-    """Whether a config value is one its flag accepts: a JSON integer or a
-    digit string for an integer flag, a value its ``type`` converts for any
-    other typed flag, a string (one of the ``choices``, if any) for a text
-    flag, a boolean for a switch and for no other flag; ``center`` may be two
-    numbers, ``h_list`` a list."""
-    if isinstance(value, list) and all(type(x) in (int, float) for x in value):
-        if action.dest == "h_list" or (action.dest == "center" and len(value) == 2):
-            return True
-    if action.const is not None:
-        return isinstance(value, bool)
-    if isinstance(value, bool):
-        return False
-    if action.type is int:
-        # int() would truncate 1.9 and accept true; neither is an integer
+_REPORT = Opt(str, help="JSON report path (default: stdout)")
+
+#: The key tables of the subcommands.  The size maxima keep one run within
+#: about 1.6 GB of memory; the README gives the peak measured at each.
+OPTIONS = {
+    "korn": {
+        "domain": Opt(("square", "disk", "annulus", "shell"), "square", fixed_by="mesh_file"),
+        "refine": Opt(int, 5, "non-negative", 6, "mesh_file", "number of refinement steps"),
+        "bc": Opt(("tangential", "dirichlet"), "tangential"),
+        "tol": Opt(float, 1e-10, "positive", help="Rayleigh stagnation tolerance"),
+        "mesh_file": Opt(str, help="JSON mesh instead of a builtin domain"),
+        "store_maximizer": Opt(bool, False),
+        "report": _REPORT,
+    },
+    "rigidity": {
+        "profile": Opt(("gaussian-bump", "dipole-bump"), "dipole-bump", fixed_by="alpha_file"),
+        "amplitude": Opt(float, 1.0, fixed_by="alpha_file"),
+        "n": Opt(int, 512, hi=4096, fixed_by="alpha_file", help="grid size, a power of two"),
+        "box": Opt(float, 20.0, fixed_by="alpha_file", help="box side length"),
+        # the defaults of rigidity.gaussian_bump and rigidity.dipole_bump
+        "width": Opt(float, lambda values: 1.0 if values["profile"] == "gaussian-bump" else 0.8,
+                     "positive", "box", "alpha_file"),
+        "center": Opt(tuple, fixed_by="alpha_file", help="x,y bump center or lobe offset"),
+        "alpha_file": Opt(str, help="field file with the angle profile"),
+        "r0": Opt(float, 0.0, help="far-field rotation angle (radians)"),
+        "report": _REPORT,
+    },
+    "shell": {
+        "profile": Opt(str, fixed_by="coeffs", help='profile string, e.g. "0.2+0.05*cos(3t)"'),
+        "coeffs": Opt(str, help="JSON file {cos: {k: c}, sin: {k: c}}"),
+        "h_list": Opt(list, "0.1,0.05,0.025,0.0125", help="comma-separated thicknesses"),
+        "angular": Opt(int, 2048, hi=65536, help="angular samples"),
+        "radial": Opt(int, 4, hi=16, help="radial layers"),
+        "csv": Opt(str, help="CSV output path for the blow-up table"),
+        "report": _REPORT,
+    },
+    "selftest": {
+        "seed": Opt(int, 0, "non-negative"),
+        "samples": Opt(int, 20000, "positive", 100000),
+        "break_det_constant": Opt(bool, False, help="flip the determinant identity constant "
+                                  "to the incorrect value 2; the det property must then fail"),
+        "report": _REPORT,
+    },
+}
+
+
+def _accepts(kind, value) -> bool:
+    """Whether a config value has its key's kind: a JSON integer or a digit
+    string for an int, a value float() converts for a float, a string for a
+    text key, one of the strings of a choice, a boolean for a switch and for
+    no other key; a pair or a list may be a string or a list of numbers."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if isinstance(kind, tuple):
+        return isinstance(value, str) and value in kind
+    if kind is int:
+        # int() would truncate 1.9; a float is not an integer
         return type(value) is int or (isinstance(value, str)
                                       and re.fullmatch(r"[0-9]+", value) is not None)
-    if action.type is None:
-        return isinstance(value, str) and (action.choices is None or value in action.choices)
-    try:
-        action.type(value)
-    except (TypeError, ValueError):
-        return False
-    return True
+    if kind is float:
+        try:
+            float(value)
+        except (TypeError, ValueError, OverflowError):
+            return False
+        return True
+    if kind is str or isinstance(value, str):
+        return isinstance(value, str)
+    return (isinstance(value, list) and (kind is list or len(value) == 2)
+            and all(type(x) in (int, float) for x in value))
 
 
-def _finite(config: dict, key: str) -> float:
-    """``config[key]`` as a float; non-finite values are invalid input."""
-    value = float(config[key])
-    if not math.isfinite(value):
-        raise ValueError(f"{key} must be finite, got {config[key]!r}")
+def _checked(key: str, opt: Opt, raw, values: dict):
+    """``raw`` as its key's kind; a value outside the key's domain is invalid input."""
+    if raw == "":
+        raise ValueError(f"{key} must not be empty")
+    if opt.kind in (tuple, list):
+        items = re.split(r"[,\s]+", raw.strip()) if isinstance(raw, str) else raw
+        try:
+            value = [float(x) for x in items if x != ""]
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{key}: {exc}") from None
+        wrong_count = len(value) != 2 if opt.kind is tuple else not value
+        if wrong_count or not all(math.isfinite(x) for x in value):
+            count = "two" if opt.kind is tuple else "one or more"
+            raise ValueError(f"{key} must be {count} finite numbers, got {raw!r}")
+        return tuple(value) if opt.kind is tuple else value
+    if opt.kind not in (int, float):
+        return raw
+    value = opt.kind(raw)
+    if opt.kind is float and not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {raw!r}")
+    if opt.sign and (value < 0 or (value == 0 and opt.sign == "positive")):
+        what = f"a {opt.sign} integer" if opt.kind is int else opt.sign
+        raise ValueError(f"{key} must be {what}, got {raw!r}")
+    hi = values[opt.hi] if isinstance(opt.hi, str) else opt.hi
+    if hi is not None and value > hi:
+        raise ValueError(f"{key} must be at most {opt.hi}, got {raw!r}")
     return value
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in re.split(r"[,\s]+", text.strip()) if tok]
-
-
-def _parse_pair(text: str) -> tuple[float, float]:
-    vals = _parse_float_list(text)
-    if len(vals) != 2:
-        raise ValueError(f"expected two numbers, got {text!r}")
-    return vals[0], vals[1]
+def _options(args: argparse.Namespace) -> tuple[dict, dict]:
+    """The configuration to record and the checked values of the keys that
+    apply: ``--config`` values of their keys' kinds, overridden by the flags
+    given, and the defaults of the keys that neither gives."""
+    table = OPTIONS[args.subcommand]
+    given = {}
+    if args.config is not None:
+        given = _load(_read_json, args.config, "config file")
+        if not isinstance(given, dict):
+            raise ValueError("config file must hold a flat JSON object")
+        unknown = set(given) - set(table)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in given.items():
+            if not _accepts(table[key].kind, value):
+                raise ValueError(f"config key {key!r}: invalid value {value!r}")
+    given.update({key: getattr(args, key) for key in table if getattr(args, key) is not None})
+    for file_key in {opt.fixed_by for opt in table.values()} & set(given):
+        unused = [key for key, opt in table.items() if opt.fixed_by == file_key and key in given]
+        if unused:
+            raise ValueError(f"{', '.join(unused)}: not used with {file_key}, which fixes them")
+    config, values = {}, {}
+    for key, opt in table.items():
+        if opt.fixed_by in given:
+            continue
+        raw = given.get(key, opt.default)
+        if callable(raw):
+            raw = raw(values)
+        if raw is not None:
+            config[key] = raw
+            values[key] = _checked(key, opt, raw, values)
+    return config, values
 
 
 _TERM_RE = re.compile(
@@ -181,170 +282,103 @@ def _coeff_map(terms, part: str) -> dict[int, float]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands: each takes the configuration to record and the checked values.
 # ---------------------------------------------------------------------------
 
-def cmd_korn(args: argparse.Namespace) -> int:
-    keys = {"domain", "refine", "bc", "tol", "mesh_file", "store_maximizer", "report"}
-    config = _merge_config(args, keys)
-    if config.get("mesh_file"):
-        unused = [key for key in ("domain", "refine") if key in config]
-        if unused:
-            raise ValueError(f"{', '.join(unused)}: not used with mesh_file, "
-                             "whose mesh sets the domain and the level")
-    else:
-        config.setdefault("domain", "square")
-        config.setdefault("refine", 5)
-        if int(config["refine"]) < 0:
-            raise ValueError(f"refine must be a non-negative integer, got {config['refine']}")
-    config.setdefault("bc", "tangential")
-    config.setdefault("tol", 1e-10)
-    config.setdefault("store_maximizer", False)
-    tol = _finite(config, "tol")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {config['tol']!r}")
-
+def cmd_korn(config: dict, values: dict) -> int:
     from . import kornfem
     from .mesh import load_mesh
 
-    if config.get("mesh_file"):
-        mesh = _load(load_mesh, config["mesh_file"], "mesh file")
-        estimates = [kornfem.korn_constant(mesh, bc=config["bc"], tol=tol)]
+    bc, tol = values["bc"], values["tol"]
+    if "mesh_file" in values:
+        mesh = _load(load_mesh, values["mesh_file"], "mesh file")
+        estimates = [kornfem.korn_constant(mesh, bc=bc, tol=tol)]
     else:
         # level 1 upward: level-0 stock meshes have no admissible fields
-        levels = list(range(1, int(config["refine"]) + 2))
-        estimates = kornfem.korn_sweep(config["domain"], levels, bc=config["bc"], tol=tol)
+        levels = list(range(1, values["refine"] + 2))
+        estimates = kornfem.korn_sweep(values["domain"], levels, bc=bc, tol=tol)
     seq = [est.kappa_sq for est in estimates]
     # Only the structured square meshes refine into nested spaces, where the
     # sequence must not decrease; elsewhere monotonicity is not expected.
-    nested = not config.get("mesh_file") and config["domain"] == "square"
+    nested = values.get("domain") == "square"
     monotone = all(b >= a - 1e-12 * max(1.0, abs(a)) for a, b in zip(seq, seq[1:]))
     result = {
-        "levels": [est.to_dict(include_maximizer=config["store_maximizer"]) for est in estimates],
+        "levels": [est.to_dict(include_maximizer=values["store_maximizer"]) for est in estimates],
         "kappa_sq_sequence": seq,
         "kappa_sq_final": seq[-1],
         "nested": nested,
         "monotone_nondecreasing": monotone if nested else None,
     }
-    _write_report(config.get("report"), _report_envelope("korn", config, result))
+    _write_report(values.get("report"), _report_envelope("korn", config, result))
     return EXIT_OK
 
 
-#: Settings of the built-in angle profiles and their grid; an alpha file
-#: brings its own field and grid, so none of them applies to it.
-_PROFILE_KEYS = ("profile", "amplitude", "width", "center", "n", "box")
-
-
-def cmd_rigidity(args: argparse.Namespace) -> int:
-    keys = {"profile", "amplitude", "width", "center", "alpha_file", "r0",
-            "n", "box", "report"}
-    config = _merge_config(args, keys)
-    config.setdefault("r0", 0.0)
-    r0 = _finite(config, "r0")
-
+def cmd_rigidity(config: dict, values: dict) -> int:
     from . import rigidity
     from .gridfield import PeriodicGrid, ScalarField, load_field
     from .mat2 import Rotation
 
-    if config.get("alpha_file"):
-        unused = [key for key in _PROFILE_KEYS if key in config]
-        if unused:
-            raise ValueError(f"{', '.join(unused)}: not used with alpha_file, "
-                             "whose field sets the profile and the grid")
-        alpha = _load(load_field, config["alpha_file"], "alpha file")
+    if "alpha_file" in values:
+        alpha = _load(load_field, values["alpha_file"], "alpha file")
         if not isinstance(alpha, ScalarField):
             raise ValueError("alpha file must hold a single-component field")
         config["n"], config["box"] = alpha.grid.n, alpha.grid.length
     else:
-        config.setdefault("profile", "dipole-bump")
-        config.setdefault("amplitude", 1.0)
-        config.setdefault("n", 512)
-        config.setdefault("box", 20.0)
-        # every number is checked before the grid is built
-        amplitude = _finite(config, "amplitude")
-        gaussian = config["profile"] == "gaussian-bump"
-        width = _finite(config, "width") if "width" in config else (1.0 if gaussian else 0.8)
-        if width <= 0.0:
-            raise ValueError(f"width must be positive, got {config['width']!r}")
-        # profile is one of the flag's choices, center a string or two numbers
-        center = config.get("center", "0,0" if gaussian else "1.25,0")
-        try:
-            center = _parse_pair(center) if isinstance(center, str) else tuple(center)
-        except ValueError as exc:
-            raise ValueError(f"center: {exc}") from None
-        if not all(math.isfinite(c) for c in center):
-            raise ValueError(f"center must be two finite numbers, got {config['center']!r}")
-        config.setdefault("width", width)
-        grid = PeriodicGrid(int(config["n"]), float(config["box"]))
+        gaussian = values["profile"] == "gaussian-bump"
         bump = rigidity.gaussian_bump if gaussian else rigidity.dipole_bump
-        alpha = bump(grid, amplitude, width, center)
+        # without a center, each bump keeps its own (unrecorded) default
+        center = (values["center"],) if "center" in values else ()
+        grid = PeriodicGrid(values["n"], values["box"])
+        alpha = bump(grid, values["amplitude"], values["width"], *center)
 
-    _, report = rigidity.synthesize_extremal(alpha, Rotation(r0))
-    _write_report(config.get("report"),
+    _, report = rigidity.synthesize_extremal(alpha, Rotation(values["r0"]))
+    _write_report(values.get("report"),
                   _report_envelope("rigidity", config, report.to_dict()))
     return EXIT_OK
 
 
-def cmd_shell(args: argparse.Namespace) -> int:
-    keys = {"profile", "coeffs", "h_list", "angular", "radial", "csv", "report"}
-    config = _merge_config(args, keys)
-    config.setdefault("h_list", "0.1,0.05,0.025,0.0125")
-    config.setdefault("angular", 2048)
-    config.setdefault("radial", 4)
-
+def cmd_shell(config: dict, values: dict) -> int:
     from .shells import DEFAULT_COS_COEFFS, BlowupTable, ShellSpec, blowup_experiment
 
-    if config.get("coeffs"):
-        raw = _load(_read_json, config["coeffs"], "coeffs file")
+    if "coeffs" in values:
+        raw = _load(_read_json, values["coeffs"], "coeffs file")
         if not isinstance(raw, dict):
             raise ValueError("coeffs file must hold a JSON object {cos: {k: c}, sin: {k: c}}")
         cos_coeffs, sin_coeffs = (_coeff_map(raw.get(part, {}), part) for part in ("cos", "sin"))
-    elif config.get("profile"):
-        cos_coeffs, sin_coeffs = parse_profile(config["profile"])
+    elif "profile" in values:
+        cos_coeffs, sin_coeffs = parse_profile(values["profile"])
     else:
         cos_coeffs, sin_coeffs = dict(DEFAULT_COS_COEFFS), {}
 
-    h_list = config["h_list"]
-    if isinstance(h_list, str):
-        h_list = _parse_float_list(h_list)
-    h_list = [float(h) for h in h_list]
-    if not h_list:
-        raise ValueError("h list is empty")
-
+    h_list = values["h_list"]
     spec = ShellSpec(
         cos_coeffs=cos_coeffs,
         sin_coeffs=sin_coeffs,
         h=h_list[0],
-        angular_resolution=int(config["angular"]),
-        radial_layers=int(config["radial"]),
+        angular_resolution=values["angular"],
+        radial_layers=values["radial"],
     )
     table: BlowupTable = blowup_experiment(spec, h_list)
 
-    if config.get("csv"):
-        with open(config["csv"], "w", newline="") as fh:
+    if "csv" in values:
+        with open(values["csv"], "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["h", "grad_norm", "symgrad_norm", "ratio", "tangency_residual"])
             for row in table.rows:
                 writer.writerow([row.h, row.grad_norm, row.symgrad_norm,
                                  row.ratio, row.tangency_residual])
-    _write_report(config.get("report"),
+    _write_report(values.get("report"),
                   _report_envelope("shell", config, table.to_dict()))
     return EXIT_OK
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
-    keys = {"seed", "samples", "break_det_constant", "report"}
-    config = _merge_config(args, keys)
-    config.setdefault("seed", 0)
-    config.setdefault("samples", 20000)
-    config.setdefault("break_det_constant", False)
-
+def cmd_selftest(config: dict, values: dict) -> int:
     from .selftest import run_selftest
 
     results = run_selftest(
-        seed=int(config["seed"]),
-        samples=int(config["samples"]),
-        det_constant=2.0 if config["break_det_constant"] else None,
+        seed=values["seed"],
+        samples=values["samples"],
+        det_constant=2.0 if values["break_det_constant"] else None,
     )
     all_pass = all(r["passed"] for r in results)
     for r in results:
@@ -352,8 +386,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         sys.stdout.write(f"[{status}] {r['name']}: residual={r['residual']:.3e} "
                          f"(bound {r['bound']:.1e})\n")
     result = {"properties": results, "all_passed": all_pass}
-    if config.get("report"):
-        _write_report(config["report"], _report_envelope("selftest", config, result))
+    if "report" in values:
+        _write_report(values["report"], _report_envelope("selftest", config, result))
     return EXIT_OK if all_pass else 1
 
 
@@ -367,50 +401,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Korn and rigidity constant laboratory (batch runs).",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    korn = sub.add_parser("korn", help="FEM Korn-constant estimation")
-    korn.add_argument("--domain", choices=["square", "disk", "annulus", "shell"])
-    korn.add_argument("--refine", type=int, help="number of refinement steps")
-    korn.add_argument("--bc", choices=["tangential", "dirichlet"])
-    korn.add_argument("--tol", type=float, help="Rayleigh stagnation tolerance")
-    korn.add_argument("--mesh-file", dest="mesh_file", help="JSON mesh instead of a builtin domain")
-    korn.add_argument("--store-maximizer", dest="store_maximizer",
-                      action="store_const", const=True, default=None)
-    korn.set_defaults(func=cmd_korn)
-
-    rig = sub.add_parser("rigidity", help="synthesize an extremal rigidity field")
-    rig.add_argument("--profile", choices=["gaussian-bump", "dipole-bump"])
-    rig.add_argument("--amplitude", type=float)
-    rig.add_argument("--width", type=float)
-    rig.add_argument("--center", help="x,y center (gaussian) or lobe offset (dipole)")
-    rig.add_argument("--alpha-file", dest="alpha_file", help="field file with the angle profile")
-    rig.add_argument("--r0", type=float, help="far-field rotation angle (radians)")
-    rig.add_argument("--n", type=int, help="grid samples per axis (power of two)")
-    rig.add_argument("--box", type=float, help="box side length")
-    rig.set_defaults(func=cmd_rigidity)
-
-    shell = sub.add_parser("shell", help="thin-shell blow-up experiment")
-    shell.add_argument("--profile", help='profile string, e.g. "0.2+0.05*cos(3t)"')
-    shell.add_argument("--coeffs", help="JSON file {cos: {k: c}, sin: {k: c}}")
-    shell.add_argument("--h-list", dest="h_list", help="comma-separated thicknesses")
-    shell.add_argument("--angular", type=int, help="angular samples")
-    shell.add_argument("--radial", type=int, help="radial layers")
-    shell.add_argument("--csv", help="CSV output path for the blow-up table")
-    shell.set_defaults(func=cmd_shell)
-
-    selftest = sub.add_parser("selftest", help="run the invariant suites")
-    selftest.add_argument("--seed", type=int)
-    selftest.add_argument("--samples", type=int)
-    selftest.add_argument("--break-det-constant", dest="break_det_constant",
-                          action="store_const", const=True, default=None,
-                          help="flip the determinant identity constant to the "
-                               "incorrect value 2; the det property must then fail")
-    selftest.set_defaults(func=cmd_selftest)
-
-    for p in (korn, rig, shell, selftest):
+    commands = {
+        "korn": (cmd_korn, "FEM Korn-constant estimation"),
+        "rigidity": (cmd_rigidity, "synthesize an extremal rigidity field"),
+        "shell": (cmd_shell, "thin-shell blow-up experiment"),
+        "selftest": (cmd_selftest, "run the invariant suites"),
+    }
+    for name, (func, text) in commands.items():
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="flat JSON config; explicit flags override")
-        p.add_argument("--report", help="JSON report path (default: stdout)")
-        p.set_defaults(flags={action.dest: action for action in p._actions})
+        for key, opt in OPTIONS[name].items():
+            flag = "--" + key.replace("_", "-")
+            if opt.kind is bool:
+                p.add_argument(flag, dest=key, action="store_const", const=True, help=opt.help)
+            else:
+                p.add_argument(flag, dest=key, help=opt.help,
+                               type=opt.kind if opt.kind in (int, float) else None,
+                               choices=opt.kind if isinstance(opt.kind, tuple) else None)
     return parser
 
 
@@ -419,18 +427,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    from .errors import (
-        CurlResidualTooLarge,
-        DegenerateRotation,
-        InfiniteQuotient,
-        MeshValidationError,
-        SolverFailure,
-        ZeroDistance,
-    )
-
     try:
-        return args.func(args)
-    except (MeshValidationError, CurlResidualTooLarge, ValueError) as exc:
+        return args.func(*_options(args))
+    # an overflow comes from a number too large to compute with, such as a box of 1e300
+    except (MeshValidationError, CurlResidualTooLarge, ValueError, OverflowError) as exc:
         sys.stderr.write(f"kornlab: invalid input: {exc}\n")
         return EXIT_INVALID
     except (ZeroDistance, InfiniteQuotient, DegenerateRotation) as exc:

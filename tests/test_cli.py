@@ -581,3 +581,102 @@ def test_mesh_file_report_records_no_sweep_settings(tmp_path):
     config = json.loads(report.read_text())["config"]
     assert config == {"mesh_file": str(path), "bc": "tangential", "tol": 1e-10,
                       "store_maximizer": False, "report": str(report)}
+
+
+
+def _with_config(tmp_path, argv):
+    """``argv`` with a dict in it replaced by ``--config`` and a file holding it."""
+    config = tmp_path / "cfg.json"
+    out = []
+    for item in argv:
+        if isinstance(item, dict):
+            config.write_text(json.dumps(item))
+            out += ["--config", str(config)]
+        else:
+            out.append(item)
+    return out
+
+
+def test_non_finite_result_exits_4(tmp_path, capsys):
+    # the report used to hold "alpha_norm": Infinity, which is not JSON, and exit 0
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        code = run(["rigidity", "--n", "64", "--amplitude", "1e300", "--report", str(report)])
+    assert code == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--width", "1e300"],
+    ["--width", "1e10"],
+    ["--width", "20.5"],
+    ["--box", "10", "--width", "12"],
+], ids=["1e300", "1e10", "above-box", "above-set-box"])
+def test_width_beyond_box_exits_2(capsys, flags):
+    # 1e300 used to raise OverflowError (exit 1), 1e10 to exit 3
+    assert run(["rigidity", "--n", "64"] + flags) == 2
+    assert capsys.readouterr().err.startswith("kornlab: invalid input: width must be at most box")
+
+
+@pytest.mark.parametrize("given", [
+    ["--profile", "0.2+0.05*cos(3t)"],
+    [{"profile": "0.2+0.05*cos(3t)"}],
+], ids=["flag", "config"])
+def test_profile_with_coeffs_file_exits_2(tmp_path, capsys, given):
+    # the coefficients file used to win while the report recorded the profile
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps({"cos": {"0": 0.25, "2": 0.04}}))
+    argv = ["shell", "--coeffs", str(coeffs), "--angular", "128"] + given
+    assert run(_with_config(tmp_path, argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kornlab: invalid input:")
+    assert "profile" in err and "coeffs" in err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["shell", {"profile": ""}], "profile"),
+    (["korn", "--mesh-file", ""], "mesh_file"),
+    (["korn", "--mesh-file", "", "--refine", "1"], "mesh_file"),
+    (["rigidity", "--alpha-file", ""], "alpha_file"),
+    (["shell", "--coeffs", ""], "coeffs"),
+    (["shell", "--csv", ""], "csv"),
+    (["selftest", "--report", ""], "report"),
+    (["korn", {"report": ""}], "report"),
+], ids=["shell-profile", "mesh-file", "mesh-file-refine", "alpha-file", "coeffs", "csv",
+        "report", "config-report"])
+def test_empty_string_is_not_absent(tmp_path, capsys, argv, key):
+    # each used to run as if the key were missing and record ""
+    assert run(_with_config(tmp_path, argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kornlab: invalid input:") and key in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rigidity", "--n", "16777216"], "n must be at most 4096"),
+    (["korn", {"refine": "40"}], "refine must be at most 6"),
+    (["korn", "--refine", "7"], "refine must be at most 6"),
+    (["shell", "--angular", "100000000"], "angular must be at most 65536"),
+    (["shell", "--radial", "100000"], "radial must be at most 16"),
+    (["selftest", "--samples", "0"], "samples must be a positive integer"),
+    (["selftest", "--samples", "100001"], "samples must be at most 100000"),
+], ids=["n", "config-refine", "refine", "angular", "radial", "samples-0", "samples-max"])
+def test_sizes_checked_before_allocation(tmp_path, capsys, argv, message):
+    # these used to fail allocating (exit 1), run on past any timeout, use up
+    # memory until killed, or exit 2 on numpy's zero-size array message
+    assert run(_with_config(tmp_path, argv)) == 2
+    assert capsys.readouterr().err.startswith(f"kornlab: invalid input: {message}")
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["--box", "1e300"], ""),
+    ([{"amplitude": 10**400}], "config key 'amplitude'"),
+    ([{"center": [10**400, 0]}], "center"),
+], ids=["box-1e300", "huge-int-amplitude", "huge-int-center"])
+def test_numbers_too_large_to_compute_with_exit_2(tmp_path, capsys, argv, key):
+    # each used to end in an OverflowError traceback (exit 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run(_with_config(tmp_path, ["rigidity", "--n", "64"] + argv)) == 2
+    assert capsys.readouterr().err.startswith(f"kornlab: invalid input: {key}")
