@@ -194,7 +194,10 @@ def _checked(key: str, opt: Opt, raw, values: dict):
         return tuple(value) if opt.kind is tuple else value
     if opt.kind not in (int, float):
         return raw
-    value = opt.kind(raw)
+    try:
+        value = opt.kind(raw)
+    except ValueError as exc:  # such as a digit string beyond int()'s 4300 digits
+        raise ValueError(f"{key}: {exc}") from None
     if opt.kind is float and not math.isfinite(value):
         raise ValueError(f"{key} must be finite, got {raw!r}")
     if opt.sign and (value < 0 or (value == 0 and opt.sign == "positive")):

@@ -42,8 +42,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import InfiniteQuotient, MeshValidationError, SolverFailure
-from .mesh import TriMesh, annulus, disk, unit_square
+from .errors import MeshValidationError, SolverFailure
+from .mesh import TriMesh, annulus, disk, evaluate_field_ratio, unit_square  # noqa: F401
 
 #: Boundary vertices whose adjacent edge normals differ by more than this
 #: angle (radians) are treated as corners and pinned.
@@ -306,7 +306,8 @@ class KornEstimate:
     iterations: int
     l_omega: LOmegaInfo
     deflated_rotation: bool
-    solver: str                    # "dense" | "shifted" | "symgrad"
+    solver: str                    # "dense" | "seed" | "shifted" | "symgrad"
+    _top_block: np.ndarray | None = None  # full dofs (2V x k), maximizer first; unreported
 
     def to_dict(self, include_maximizer: bool = False) -> dict:
         out = {
@@ -504,6 +505,21 @@ def _b_orthonormalize(pencil: _Pencil, V: np.ndarray) -> np.ndarray:
     return V
 
 
+def _seed_pairs(pencil: _Pencil, coords: np.ndarray, count: int, tol: float):
+    """Rayleigh-Ritz on a block of constrained coordinates: its ``count`` pairs,
+    sorted descending, if each has |A x - rho B x| <= tol |A x|; else None."""
+    X = _b_orthonormalize(pencil, pencil.project(coords))
+    AX = pencil.apply_A(X)
+    V = np.linalg.eigh(X.T @ AX)[1]
+    X, AX = X @ V, AX @ V
+    rhos = np.einsum("ij,ij->j", X, AX)
+    resid = np.linalg.norm(AX - pencil.apply_B(X) * rhos, axis=0)
+    if X.shape[1] != count or not np.all(resid <= tol * np.linalg.norm(AX, axis=0)):
+        return None
+    order = np.argsort(rhos)[::-1]
+    return rhos[order], X[:, order]
+
+
 def _dense_top(pencil: _Pencil, count: int):
     A = pencil.A.toarray()
     if pencil.ell is not None:
@@ -554,6 +570,11 @@ def korn_constant(
     Pencils with at most ``dense_threshold`` dofs are solved densely.  Raises
     :class:`SolverFailure` when the iteration runs ``max_iter`` steps without
     converging.
+
+    A (2V, k) ``seed`` block, maximizer first, is Rayleigh-Ritz reduced before
+    anything is factored: if that gives the iteration's block of pairs with
+    relative residuals at most ``100 * tol``, they are the result (``solver``
+    "seed", 0 iterations); otherwise its first column starts the iteration.
     """
     if bc not in ("tangential", "dirichlet"):
         raise ValueError(f"unknown boundary condition {bc!r}")
@@ -577,21 +598,25 @@ def korn_constant(
 
     pencil = _Pencil(forms, constraints, rank_one, deflate)
 
+    seed_block = seed if seed is not None and seed.ndim == 2 else None
+    seed = seed if seed_block is None else seed_block[:, 0]
     seed_coords = pencil.project(
         constraints.basis.T @ (_bump_seed(mesh) if seed is None else seed))
     if float(seed_coords @ (pencil.B @ seed_coords)) <= 0.0:
         rng = np.random.default_rng(0)
         seed_coords = pencil.project(rng.standard_normal(pencil.n))
 
+    block = min(1 + extra_pairs, pencil.n - len(deflate))
     if pencil.n <= dense_threshold:
-        count = min(1 + extra_pairs, pencil.n - len(deflate))
-        vals, vecs = _dense_top(pencil, count)
+        vals, vecs = _dense_top(pencil, block)
         iterations = 0
         converged = True
         solver = "dense"
+    elif seed_block is not None and (pairs := _seed_pairs(
+            pencil, constraints.basis.T @ seed_block, block, 100 * tol)) is not None:
+        (vals, vecs), iterations, converged, solver = pairs, 0, True, "seed"
     else:
         rng = np.random.default_rng(0)
-        block = min(1 + extra_pairs, pencil.n - len(deflate))
         seeds = [seed_coords] + [rng.standard_normal(pencil.n) for _ in range(block - 1)]
         vals, vecs, iterations, converged = _block_top(pencil, seeds, tol, max_iter)
         solver = "shifted" if pencil.shifted else "symgrad"
@@ -622,6 +647,7 @@ def korn_constant(
         l_omega=l_omega,
         deflated_rotation=deflated_rotation,
         solver=solver,
+        _top_block=constraints.basis @ vecs,
     )
 
 
@@ -644,49 +670,6 @@ def _bump_seed(mesh: TriMesh) -> np.ndarray:
     field[0::2] = u1
     field[1::2] = u2
     return field
-
-
-# ---------------------------------------------------------------------------
-# Quadrature evaluation of analytic fields.
-# ---------------------------------------------------------------------------
-
-def evaluate_field_ratio(mesh: TriMesh, u_fn, grad_fn) -> dict:
-    """Quadrature norms of an analytic field over the mesh.
-
-    ``u_fn`` maps (N, 2) points to (N, 2) values; ``grad_fn`` to (N, 2, 2)
-    gradients.  Uses the three-midpoint rule (exact for quadratics).  Returns
-    grad_norm, symgrad_norm, korn_quotient and the tangency residual
-    max |u . n| over boundary-edge midpoints.  Raises
-    :class:`InfiniteQuotient` when the symmetric gradient vanishes.
-    """
-    v = mesh.vertices
-    t = mesh.triangles
-    areas = np.abs(mesh.areas())
-    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    mids = np.stack([0.5 * (p0 + p1), 0.5 * (p1 + p2), 0.5 * (p2 + p0)])  # (3, T, 2)
-    w = np.repeat(areas[None, :] / 3.0, 3, axis=0).ravel()
-    pts = mids.reshape(-1, 2)
-    G = np.asarray(grad_fn(pts), dtype=float)
-    grad_sq = float(np.einsum("q,qij->", w, G**2))
-    D = 0.5 * (G + np.swapaxes(G, 1, 2))
-    sym_sq = float(np.einsum("q,qij->", w, D**2))
-
-    bmids = 0.5 * (v[mesh.boundary_edges[:, 0]] + v[mesh.boundary_edges[:, 1]])
-    ub = np.asarray(u_fn(bmids), dtype=float)
-    tangency = float(np.abs(np.einsum("ei,ei->e", ub, mesh.boundary_normals)).max())
-
-    grad_norm = math.sqrt(grad_sq)
-    sym_norm = math.sqrt(sym_sq)
-    if sym_norm <= 1e-12 * max(grad_norm, 1e-300):
-        raise InfiniteQuotient(
-            "symmetric gradient vanishes (rigid motion); the quotient is infinite"
-        )
-    return {
-        "grad_norm": grad_norm,
-        "symgrad_norm": sym_norm,
-        "korn_quotient": grad_norm / sym_norm,
-        "tangency_residual": tangency,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -729,30 +712,30 @@ def builtin_domain(name: str, level: int = 0, **params) -> TriMesh:
 
 
 def square_prolongation(coarse: np.ndarray, cells: int) -> np.ndarray:
-    """Prolong a full dof vector from the m-cell structured square mesh to
+    """Prolong a full dof vector or (2V, k) block from the m-cell structured square mesh to
     the 2m-cell one (vertex injection plus edge/face midpoint averages)."""
     m = cells
-    old = coarse.reshape(m + 1, m + 1, 2)
-    new = np.zeros((2 * m + 1, 2 * m + 1, 2))
+    old = coarse.reshape(m + 1, m + 1, 2, -1)
+    new = np.zeros((2 * m + 1, 2 * m + 1, 2, old.shape[3]))
     new[0::2, 0::2] = old
     new[1::2, 0::2] = 0.5 * (old[:-1, :] + old[1:, :])
     new[0::2, 1::2] = 0.5 * (old[:, :-1] + old[:, 1:])
     # Cell centers sit on the coarse diagonal edge v(i,j)-v(i+1,j+1): the P1
     # interpolant there averages the two diagonal endpoints only.
     new[1::2, 1::2] = 0.5 * (old[:-1, :-1] + old[1:, 1:])
-    return new.reshape(-1)
+    return new.reshape(-1, *coarse.shape[1:])
 
 
 def korn_sweep(domain: str, levels: list[int], bc: str = "tangential",
                tol: float = 1e-10, **params) -> list[KornEstimate]:
-    """Refinement sweep; on the square the previous maximizer is prolonged
-    into the next level's start vector, which makes the reported sequence
+    """Refinement sweep; on the square the previous top block is prolonged
+    into the next level's seed (maximizer first), which makes the reported sequence
     nondecreasing by construction (nested spaces, monotone iteration)."""
     estimates: list[KornEstimate] = []
     for level in levels:
         mesh = builtin_domain(domain, level=level, **params)
         seed = None
         if domain == "square" and estimates:
-            seed = square_prolongation(estimates[-1].maximizer, 2 ** (level - 1))
+            seed = square_prolongation(estimates[-1]._top_block, 2 ** (level - 1))
         estimates.append(korn_constant(mesh, bc=bc, tol=tol, seed=seed))
     return estimates

@@ -11,6 +11,9 @@ grid and split all cells along the same diagonal at once (``_split_quads``).
 All edge topology comes from one edge table (``_edge_table``: directed
 edges and how many triangles share each), read by the boundary extraction,
 by validation and by the disk's boundary projection.
+
+``evaluate_field_ratio`` integrates analytic fields over a mesh with pure
+numpy quadrature, so that the shell experiment loads no scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MeshValidationError
+from .errors import InfiniteQuotient, MeshValidationError
 
 
 @dataclass
@@ -262,6 +265,49 @@ def radial_band(
     ids = np.concatenate([ids, ids[:, :1]], axis=1)
     tris = _split_quads(ids.T).swapaxes(0, 1).reshape(-1, 3)
     return TriMesh(vertices, tris, region_label=label)
+
+
+# ---------------------------------------------------------------------------
+# Quadrature evaluation of analytic fields.
+# ---------------------------------------------------------------------------
+
+def evaluate_field_ratio(mesh: TriMesh, u_fn, grad_fn) -> dict:
+    """Quadrature norms of an analytic field over the mesh.
+
+    ``u_fn`` maps (N, 2) points to (N, 2) values; ``grad_fn`` to (N, 2, 2)
+    gradients.  Uses the three-midpoint rule (exact for quadratics).  Returns
+    grad_norm, symgrad_norm, korn_quotient and the tangency residual
+    max |u . n| over boundary-edge midpoints.  Raises
+    :class:`InfiniteQuotient` when the symmetric gradient vanishes.
+    """
+    v = mesh.vertices
+    t = mesh.triangles
+    areas = np.abs(mesh.areas())
+    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+    mids = np.stack([0.5 * (p0 + p1), 0.5 * (p1 + p2), 0.5 * (p2 + p0)])  # (3, T, 2)
+    w = np.repeat(areas[None, :] / 3.0, 3, axis=0).ravel()
+    pts = mids.reshape(-1, 2)
+    G = np.asarray(grad_fn(pts), dtype=float)
+    grad_sq = float(np.einsum("q,qij->", w, G**2))
+    D = 0.5 * (G + np.swapaxes(G, 1, 2))
+    sym_sq = float(np.einsum("q,qij->", w, D**2))
+
+    bmids = 0.5 * (v[mesh.boundary_edges[:, 0]] + v[mesh.boundary_edges[:, 1]])
+    ub = np.asarray(u_fn(bmids), dtype=float)
+    tangency = float(np.abs(np.einsum("ei,ei->e", ub, mesh.boundary_normals)).max())
+
+    grad_norm = math.sqrt(grad_sq)
+    sym_norm = math.sqrt(sym_sq)
+    if sym_norm <= 1e-12 * max(grad_norm, 1e-300):
+        raise InfiniteQuotient(
+            "symmetric gradient vanishes (rigid motion); the quotient is infinite"
+        )
+    return {
+        "grad_norm": grad_norm,
+        "symgrad_norm": sym_norm,
+        "korn_quotient": grad_norm / sym_norm,
+        "tangency_residual": tangency,
+    }
 
 
 # ---------------------------------------------------------------------------

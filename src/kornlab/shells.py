@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfiniteQuotient, MeshValidationError
-from .kornfem import evaluate_field_ratio
-from .mesh import TriMesh, radial_band
+from .mesh import TriMesh, evaluate_field_ratio, radial_band
 
 #: Stock profile: smooth, valued in (0, 1/3), no rotational symmetry.
 DEFAULT_COS_COEFFS = {0: 0.2, 3: 0.05}

@@ -148,6 +148,14 @@ class TestKornCommand:
             levels = json.loads(report.read_text())["result"]["levels"]
             assert [lvl["solver"] for lvl in levels] == solvers
 
+    def test_report_names_seed_path(self, tmp_path):
+        # the slip square's prolonged top block is already converged
+        report = tmp_path / "square.json"
+        assert run(["korn", "--domain", "square", "--refine", "3", "--report", str(report)]) == 0
+        levels = json.loads(report.read_text())["result"]["levels"]
+        assert [lvl["solver"] for lvl in levels] == ["dense", "dense", "dense", "seed"]
+        assert levels[-1]["iterations"] == 0
+
     def test_unconverged_iteration_exits_4(self, monkeypatch, capsys):
         from functools import partial
 
@@ -529,7 +537,16 @@ def test_integer_flag_takes_digit_string_from_config(tmp_path):
     assert len(json.loads(report.read_text())["result"]["levels"]) == 2
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("command, key", [("selftest", "seed"), ("korn", "refine")])
+def test_overlong_digit_string_names_its_key(tmp_path, capsys, command, key):
+    # int() refuses more than 4300 digits, and its message named no key
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: "1" * 5000}))
+    assert run([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"kornlab: invalid input: {key}: ")
+
+
+@pytest.mark.parametrize("tol",["nan", "inf", "-1", "0"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_korn_tol_must_be_finite_and_positive(tmp_path, capsys, tol, source):
     # inf used to stop after 3 iterations and look converged; nan and -1 ran

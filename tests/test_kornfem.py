@@ -538,15 +538,16 @@ class TestBlockKernel:
 
 
 # Per-level kappa^2 and iteration counts of the stock sweeps, as computed
-# before the eigen kernel was blocked.
+# before the eigen kernel was blocked; the slip square's levels 4-7 take
+# their pairs from the prolonged top block, without iterating.
 SWEEP_PINS = {
     ("square", "dirichlet"): [
         (1.6, 0), (1.9067168808452177, 0), (1.9790124185070403, 0),
         (1.9949429489580985, 11), (1.9987680692111798, 21), (1.9996958014102642, 13),
     ],
     ("square", "tangential"): [
-        (2.0, 0), (1.9999999999999996, 0), (2.0000000000000013, 0), (2.0000000000000013, 3),
-        (2.0000000000000004, 3), (2.0000000000000093, 3), (2.000000000000006, 3),
+        (2.0, 0), (1.9999999999999996, 0), (2.0000000000000013, 0), (2.0000000000000013, 0),
+        (2.0000000000000004, 0), (2.0000000000000093, 0), (2.000000000000006, 0),
     ],
     ("disk", "tangential"): [
         (1.9506093398208024, 0), (3.8913728339307885, 0), (3.971604327031767, 11),
@@ -566,3 +567,32 @@ def test_sweep_values_and_iterations_pinned(domain, bc):
     assert [e.iterations for e in estimates] == [it for _, it in pins]
     for est, (kappa_sq, _) in zip(estimates, pins):
         assert abs(est.kappa_sq - kappa_sq) <= 1e-10
+
+
+def test_slip_square_sweep_takes_levels_from_the_seed_block(monkeypatch):
+    # nested P1 spaces keep the prolonged top block a top eigenspace of the
+    # attained constant 2, so levels 4-7 make no factor and no iteration
+    factors = []
+    splu = kf.spla.splu
+    monkeypatch.setattr(kf.spla, "splu", lambda M, **kw: factors.append(M.shape) or splu(M, **kw))
+    estimates = kf.korn_sweep("square", list(range(1, 8)))
+    assert factors == []
+    for est in estimates[3:]:
+        assert (est.solver, est.iterations, est.top_eigenspace_dim) == ("seed", 0, 3)
+        assert est.eig_residual <= 1e-12
+        assert abs(est.kappa_sq - 2.0) <= 1.9e-14
+        assert "_top_block" not in est.to_dict(include_maximizer=True)
+    seq = [est.kappa_sq for est in estimates]
+    assert all(b >= a - 1e-12 for a, b in zip(seq, seq[1:]))
+
+
+def test_failed_seed_check_iterates_from_the_prolonged_maximizer():
+    # Dirichlet seed blocks are far from converged (residuals 0.05-0.15):
+    # the level is what the prolonged maximizer alone gives, bit for bit
+    estimates = kf.korn_sweep("square", list(range(1, 7)), bc="dirichlet")
+    for level, (coarse, est) in enumerate(zip(estimates, estimates[1:]), start=2):
+        seed = kf.square_prolongation(coarse.maximizer, 2 ** (level - 1))
+        alone = kf.korn_constant(unit_square(2**level), bc="dirichlet", seed=seed)
+        assert est.solver != "seed"
+        assert est.to_dict() == alone.to_dict()
+        assert est.maximizer.tobytes() == alone.maximizer.tobytes()

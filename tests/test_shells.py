@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kornlab
 from kornlab import kornfem as kf
 from kornlab.errors import InfiniteQuotient, MeshValidationError
 from kornlab.shells import BlowupTable, ShellSpec, blowup_experiment, shell_field, shell_mesh
@@ -168,3 +173,14 @@ def test_korn_estimate_dominates_explicit_field():
     full[1::2] = uv[:, 1]
     est = kf.korn_constant(mesh, bc="tangential", seed=full)
     assert est.kappa_sq >= res["korn_quotient"] ** 2 * 0.98
+
+
+def test_import_loads_no_scipy():
+    # the shell experiment is numpy quadrature; scipy.sparse alone costs
+    # about 0.4 s of start-up
+    src = str(Path(kornlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, kornlab.shells; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
