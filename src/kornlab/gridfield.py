@@ -27,15 +27,19 @@ through once.  Sums are taken per strip and combined by :func:`tree_sum`.
 numpy sums a contiguous array pairwise, halving it at every level; n and
 the strip height are powers of two, so the strip sums are subtrees of that
 recursion, and combining them pairwise gives the whole-plane sum bit for
-bit.  Strip sweeps therefore change no reported number.
+bit.  Strip sweeps therefore change no reported number, and nor does the
+number of threads that run them (:func:`map_strips`).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
+import queue
+from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +60,7 @@ STRIP_ELEMENTS = 2**17
 
 
 def fft_workers() -> int:
-    """FFT worker threads: ``KORNLAB_THREADS`` at call time, default 1."""
+    """Threads of every FFT and strip sweep: ``KORNLAB_THREADS`` at call time, default 1."""
     text = os.environ.get("KORNLAB_THREADS") or "1"
     if not text.isdigit() or int(text) < 1:
         raise ValueError(f"KORNLAB_THREADS must be a positive integer, got {text!r}")
@@ -81,6 +85,42 @@ def row_strips(n: int) -> list[slice]:
     :meth:`MatrixField2.row_curl_residual`)."""
     h = min(n, max(8, STRIP_ELEMENTS // n))
     return [slice(r, r + h) for r in range(0, n, h)]
+
+
+@functools.lru_cache(maxsize=1)  # one pool: a new thread count replaces it
+def _strip_pool(threads: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(threads, "kornlab-strips")
+
+
+def map_strips(n: int, body) -> list:
+    """``body(rows)`` over the rows of an n x n plane on :func:`fft_workers`
+    threads, results in row order: ``[body(rows) for rows in row_strips(n)]``
+    with one worker or one strip.  Otherwise units of a quarter strip (at
+    least 8 rows, so sums stay exact) are claimed one by one by the caller
+    and a pool, and all end before an exception is re-raised.  A body writes
+    only its own rows, and never calls map_strips: the pool could deadlock."""
+    strips, workers = row_strips(n), fft_workers()
+    if len(strips) == 1 or workers == 1:
+        return [body(rows) for rows in strips]
+    h = max(8, strips[0].stop // 4)
+    units = [slice(r, r + h) for r in range(0, n, h)]
+    threads, out = min(workers, len(units)) - 1, [None] * len(units)
+    todo = queue.SimpleQueue()  # the unit indices, then a stop mark for every thread
+    for k in [*range(len(units)), *[None] * (threads + 1)]:
+        todo.put(k)
+
+    def claim():
+        for k in iter(todo.get, None):
+            out[k] = body(units[k])
+
+    futures = [_strip_pool(threads).submit(claim) for _ in range(threads)]
+    try:
+        claim()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()  # re-raises a pool thread's exception
+    return out
 
 
 def tree_sum(parts) -> np.ndarray:
@@ -169,7 +209,7 @@ class _Field:
         want = self.components + (grid.n, grid.n)
         if values.shape != want:
             raise ValueError(f"expected value shape {want}, got {values.shape}")
-        if not np.all(np.isfinite(values)):
+        if not all(map_strips(grid.n, lambda rows: np.isfinite(values[..., rows, :]).all())):
             raise ValueError("field contains non-finite samples")
         self.grid = grid
         self.values = values
@@ -183,8 +223,8 @@ class _Field:
     def norm_l2(self) -> float:
         """L2 norm, squared strip by strip; equal to the whole-array sum."""
         n = self.grid.n
-        parts = [(plane[rows] ** 2).sum()
-                 for plane in self.values.reshape(-1, n, n) for rows in row_strips(n)]
+        parts = [s for plane in self.values.reshape(-1, n, n)
+                 for s in map_strips(n, lambda rows: (plane[rows] ** 2).sum())]
         return math.sqrt(self.grid.cell_area * float(tree_sum(parts)))
 
     def _grad_hat(self) -> np.ndarray:
@@ -252,22 +292,22 @@ class MatrixField2(_Field):
         half plane does, so the result is the whole-plane one bit for bit."""
         g = self.grid
         ghat = half_spectrum(self.values) if spectrum is None else spectrum
-        strips = row_strips(g.n)
-        # one strip of each power: row i holds curl_i, grad_i0, grad_i1
-        power = np.empty((2, 3, strips[0].stop, ghat.shape[-1]))
-        sums = np.empty((len(strips), 2, 3))
         edges = np.empty((2, 2, 3, g.n))  # the powers on the first and last column
-        for k, rows in enumerate(strips):
+
+        def strip(rows):
             re, im = ghat[:, :, rows].real, ghat[:, :, rows].imag
             dkx = g.dkx[rows]
+            # the strip's powers: row i holds curl_i, grad_i0, grad_i1
+            power = np.empty((2, 3, rows.stop - rows.start, ghat.shape[-1]))
             for i in range(2):
                 # curl = dkx * ghat[i, 1] - dky * ghat[i, 0], part by part
                 power[i, 0] = ((dkx * re[i, 1] - g.dky * re[i, 0]) ** 2
                                + (dkx * im[i, 1] - g.dky * im[i, 0]) ** 2)
                 power[i, 1:] = (re[i] ** 2 + im[i] ** 2) * g.dk2[rows]
-            sums[k] = power.sum(axis=(-2, -1))
             edges[0, ..., rows], edges[1, ..., rows] = power[..., 0], power[..., -1]
-        norms2 = g._plancherel_from_sums(tree_sum(sums), edges[0], edges[1])
+            return power.sum(axis=(-2, -1))
+
+        norms2 = g._plancherel_from_sums(tree_sum(map_strips(g.n, strip)), edges[0], edges[1])
         curls, grads = norms2[:, 0], norms2[:, 1:].sum(axis=1)
         return float(np.sqrt(curls).max() / max(np.sqrt(grads).sum(), 1e-300))
 
@@ -364,12 +404,13 @@ def support_margin_mass(field) -> float:
     g = field.grid
     margin = SUPPORT_MARGIN_FRACTION * g.length
     edge = g.length / 2.0 - margin
-    parts = []  # (sum of v^2, sum of v^2 in the margin) per plane and strip
-    for plane in field.values.reshape(-1, g.n, g.n):
-        for rows in row_strips(g.n):
-            mask = (np.abs(g.x[rows]) >= edge) | (np.abs(g.y) >= edge)
-            v2 = plane[rows] ** 2
-            parts.append((v2.sum(), (v2 * mask).sum()))
+
+    def strip(plane, rows):  # sum of v^2, and of v^2 in the margin
+        v2 = plane[rows] ** 2
+        return v2.sum(), (v2 * ((np.abs(g.x[rows]) >= edge) | (np.abs(g.y) >= edge))).sum()
+
+    parts = [s for plane in field.values.reshape(-1, g.n, g.n)
+             for s in map_strips(g.n, lambda rows: strip(plane, rows))]
     total, tail = (float(s) for s in tree_sum(parts))
     if total == 0.0:
         return 0.0

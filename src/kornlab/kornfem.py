@@ -728,14 +728,14 @@ def square_prolongation(coarse: np.ndarray, cells: int) -> np.ndarray:
 
 def korn_sweep(domain: str, levels: list[int], bc: str = "tangential",
                tol: float = 1e-10, **params) -> list[KornEstimate]:
-    """Refinement sweep; on the square the previous top block is prolonged
-    into the next level's seed (maximizer first), which makes the reported sequence
-    nondecreasing by construction (nested spaces, monotone iteration)."""
+    """Refinement sweep; on the square a level one finer than the one before it
+    starts from that level's prolonged top block (maximizer first), which makes such
+    a sequence nondecreasing by construction (nested spaces, monotone iteration)."""
     estimates: list[KornEstimate] = []
-    for level in levels:
+    for i, level in enumerate(levels):
         mesh = builtin_domain(domain, level=level, **params)
         seed = None
-        if domain == "square" and estimates:
+        if domain == "square" and i and levels[i - 1] == level - 1:
             seed = square_prolongation(estimates[-1]._top_block, 2 ** (level - 1))
         estimates.append(korn_constant(mesh, bc=bc, tol=tol, seed=seed))
     return estimates

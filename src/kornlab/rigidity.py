@@ -38,11 +38,12 @@ from .gridfield import (
     check_gradient,
     from_half_spectrum,
     half_spectrum,
+    map_strips,
     potential_from_gradient,  # noqa: F401  (public name here; perfbench traces it)
     potential_from_spectrum,
-    row_strips,
     tree_sum,
 )
+from .mat2 import dist_so2_arrays  # bound at import: see _dist_sq_sum
 
 #: Threshold on rhs below which the field counts as a rotation a.e.
 ZERO_DISTANCE_EPS = 1e-20
@@ -97,9 +98,8 @@ def build_f(alpha: ScalarField) -> VectorField2:
     |f|^2 = 2 - 2 cos(alpha) <= alpha^2 pointwise, so ||f|| <= ||alpha||.
     """
     f = np.empty((2,) + alpha.values.shape)
-    for rows in row_strips(alpha.grid.n):
-        a = alpha.values[rows]
-        f[:, rows] = np.sin(a), np.cos(a) - 1.0
+    map_strips(alpha.grid.n, lambda rows: (np.sin(alpha.values[rows], out=f[0, rows]),
+               np.subtract(np.cos(alpha.values[rows]), 1.0, out=f[1, rows])))
     return VectorField2(alpha.grid, f)
 
 
@@ -123,7 +123,8 @@ def solve_g(f: VectorField2) -> VectorField2:
     """
     grid = f.grid
     ghat = half_spectrum(f.values)
-    for rows in row_strips(grid.n):
+
+    def reflect(rows):
         # Reflection matrix [[-c2, c1], [c1, c2]] with c1 = (kx^2-ky^2)/|k|^2,
         # c2 = 2 kx ky / |k|^2 on the derivative wavenumbers (Nyquist
         # dropped); at k = 0 use the x-axis limit c1 = 1, c2 = 0.  On the
@@ -138,6 +139,8 @@ def solve_g(f: VectorField2) -> VectorField2:
             c1[grid.n // 2 - rows.start, :] = -1.0
         f0, f1 = ghat[0, rows], ghat[1, rows]
         ghat[0, rows], ghat[1, rows] = -c2 * f0 + c1 * f1, c1 * f0 + c2 * f1
+
+    map_strips(grid.n, reflect)
     return VectorField2(grid, from_half_spectrum(ghat))
 
 
@@ -186,19 +189,16 @@ def rigidity_ratio(G: MatrixField2, curl_tol: float = CURL_TOL) -> ExtremalRepor
     (the rigidity quotient is then 0/0).
     """
     curl_residual = check_gradient(G, curl_tol)
-    strips = row_strips(G.grid.n)
-    parts = np.empty((len(strips), 5))  # per strip: dist^2, the entries of G
-    for k, rows in enumerate(strips):
-        Gs = G.values[:, :, rows]
-        parts[k, 0] = _dist_sq_sum(Gs)
-        parts[k, 1:] = _entry_sums(Gs)
-    sums = tree_sum(parts)
+    # per strip: dist^2, the entries of G
+    sums = tree_sum(map_strips(G.grid.n, lambda rows: [
+        _dist_sq_sum(G.values[:, :, rows]), *_entry_sums(G.values[:, :, rows])]))
     return _certificate(G, curl_residual, sums[0], _mean(G.grid, sums[1:]))
 
 
 def _dist_sq_sum(Gs: np.ndarray) -> float:
-    """Sum of dist^2(G, SO(2)) over the samples of a (2, 2, h, n) strip."""
-    return (mat2.dist_so2_arrays(Gs[0, 0], Gs[0, 1], Gs[1, 0], Gs[1, 1]) ** 2).sum()
+    """Sum of dist^2(G, SO(2)) over the samples of a (2, 2, h, n) strip; on
+    strip threads, so through the kernel bound at import, never a wrapper."""
+    return (dist_so2_arrays(Gs[0, 0], Gs[0, 1], Gs[1, 0], Gs[1, 1]) ** 2).sum()
 
 
 def _entry_sums(Gs: np.ndarray) -> list:
@@ -254,7 +254,7 @@ def _lhs_at(G: MatrixField2, theta: float) -> float:
     three digits at L = 20."""
     c, s = math.cos(theta), math.sin(theta)
     R = ((c, -s), (s, c))
-    parts = [_lhs_terms(G.values[:, :, rows], R) for rows in row_strips(G.grid.n)]
+    parts = map_strips(G.grid.n, lambda rows: _lhs_terms(G.values[:, :, rows], R))
     return _lhs_total(G.grid, tree_sum(parts))
 
 
@@ -269,17 +269,15 @@ def _gradient_sweep(
     """
     n = f.grid.n
     r = r0.as_array()
-    strips = row_strips(n)
     G = np.empty((2, 2, n, n))
-    parts = np.empty((len(strips), 13))
-    for k, rows in enumerate(strips):
-        fs, gs, Gs, p = f.values[:, rows], g.values[:, rows], G[:, :, rows], parts[k]
-        p[:4] = [(v**2).sum() for v in (*fs, *gs)]
+
+    def strip(rows):
+        fs, gs, Gs = f.values[:, rows], g.values[:, rows], G[:, :, rows]
+        squares = [(v**2).sum() for v in (*fs, *gs)]
         _gradient_rows(fs, gs, r, Gs)
-        p[4] = _dist_sq_sum(Gs)
-        p[5:9] = _entry_sums(Gs)
-        p[9:] = _lhs_terms(Gs, r)
-    return G, tree_sum(parts)
+        return [*squares, _dist_sq_sum(Gs), *_entry_sums(Gs), *_lhs_terms(Gs, r)]
+
+    return G, tree_sum(map_strips(n, strip))
 
 
 def synthesize_extremal(
@@ -292,18 +290,18 @@ def synthesize_extremal(
     known here, the left-hand side measured against it as well.
 
     Every pointwise stage runs over row strips of ``STRIP_ELEMENTS``
-    samples (:func:`~kornlab.gridfield.row_strips`), so its temporaries stay
-    in cache; only the three FFTs (f-hat, g, G-hat) see whole planes.  One
-    sweep over the rows of (f, g) writes G and, while each strip is in
-    cache, sums f^2 and g^2 for the norms, dist^2(G, SO(2)) for the
-    right-hand side, the entries of G for its mean (hence R*), and
-    |G - R0|^2 for the left-hand side at the far-field rotation.  After the
-    single curl check on G-hat, a second sweep sums |G - R*|^2.  Both
-    left-hand sides are summed from G - R directly (see :func:`_lhs_at`),
-    never from the moments of G.  The per-strip sums are combined by
-    :func:`~kornlab.gridfield.tree_sum`, which reproduces numpy's
-    whole-plane sums bit for bit, so no reported number depends on the
-    strip height.
+    samples, so its temporaries stay in cache, on ``KORNLAB_THREADS``
+    threads (:func:`~kornlab.gridfield.map_strips`); only the three FFTs
+    (f-hat, g, G-hat) see whole planes, with as many workers.  One sweep
+    over the rows of (f, g) writes G and, while each strip is in cache, sums
+    f^2 and g^2 for the norms, dist^2(G, SO(2)) for the right-hand side, the
+    entries of G for its mean (hence R*), and |G - R0|^2 for the left-hand
+    side at the far-field rotation.  After the single curl check on G-hat, a
+    second sweep sums |G - R*|^2.  Both left-hand sides are summed from
+    G - R directly (see :func:`_lhs_at`), never from the moments of G.  The
+    per-strip sums are combined by :func:`~kornlab.gridfield.tree_sum`, which
+    reproduces numpy's whole-plane sums bit for bit, so no reported number
+    depends on the strip height or the thread count.
 
     Memory: g-hat overwrites f-hat, and f and g are dropped before the
     4-plane transform of G, which the curl check reads and the returned
@@ -354,9 +352,8 @@ def gaussian_bump(
 ) -> ScalarField:
     """Radial Gaussian bump alpha = amplitude * exp(-|x - c|^2 / (2 width^2))."""
     alpha = np.empty((grid.n, grid.n))
-    for rows in row_strips(grid.n):
-        _gaussian_rows(alpha[rows], grid, rows, center, width)
-        alpha[rows] *= amplitude
+    map_strips(grid.n, lambda rows: np.multiply(
+        _gaussian_rows(alpha[rows], grid, rows, center, width), amplitude, out=alpha[rows]))
     return ScalarField(grid, alpha)
 
 
@@ -373,11 +370,12 @@ def dipole_bump(
     rotation instead of being tilted by the O(1/L^2) mean of f.
     """
     ox, oy = offset
-    strips = row_strips(grid.n)
     alpha = np.empty((grid.n, grid.n))
-    neg = np.empty((strips[0].stop, grid.n))
-    for rows in strips:
+
+    def strip(rows):
         pos = _gaussian_rows(alpha[rows], grid, rows, (ox, oy), width)
-        pos -= _gaussian_rows(neg, grid, rows, (-ox, -oy), width)
+        pos -= _gaussian_rows(np.empty_like(pos), grid, rows, (-ox, -oy), width)
         pos *= amplitude
+
+    map_strips(grid.n, strip)
     return ScalarField(grid, alpha)

@@ -335,6 +335,67 @@ class TestStripSums:
             gridfield.tree_sum(parts[:3])
 
 
+    def test_map_strips_keeps_row_order_on_three_threads(self, monkeypatch):
+        import time
+
+        monkeypatch.setattr(gridfield, "STRIP_ELEMENTS", 8192)  # 8 strips of 32 rows
+        monkeypatch.setenv("KORNLAB_THREADS", "1")
+        assert gridfield.map_strips(256, lambda rows: rows.start) == list(range(0, 256, 32))
+        monkeypatch.setenv("KORNLAB_THREADS", "3")
+
+        def body(rows):  # units finish out of order
+            time.sleep(0.001 * (rows.start % 3))
+            return rows.start
+
+        # on threads, units of 8 rows (a quarter strip)
+        assert gridfield.map_strips(256, body) == list(range(0, 256, 8))
+
+    def test_map_strips_waits_for_every_unit_before_raising(self, monkeypatch):
+        import threading
+        import time
+
+        monkeypatch.setattr(gridfield, "STRIP_ELEMENTS", 512)  # 8 strips of 8 rows
+        monkeypatch.setenv("KORNLAB_THREADS", "3")
+        done = []
+
+        def body(rows):  # the calling thread fails at once, the pool takes its time
+            if threading.current_thread() is threading.main_thread():
+                raise RuntimeError(f"rows {rows.start}")
+            time.sleep(0.02)
+            done.append(rows.start)
+
+        with pytest.raises(RuntimeError, match="rows") as raised:
+            gridfield.map_strips(64, body)
+        # the pool ran every other unit to its end before the exception came back
+        failed = int(str(raised.value).split()[1])
+        assert sorted(done + [failed]) == list(range(0, 64, 8))
+
+    def test_map_strips_runs_each_unit_once_under_stress(self, monkeypatch):
+        import sys
+        import threading
+
+        monkeypatch.setattr(gridfield, "STRIP_ELEMENTS", 512)
+        monkeypatch.setenv("KORNLAB_THREADS", "8")  # more threads than cores
+        n = 1024  # 128 strips of 8 rows
+        runs, results = [], []
+
+        def sweep():
+            for _ in range(20):
+                results.append(gridfield.map_strips(n, lambda rows: runs.append(rows.start)
+                                                    or rows.start))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=sweep)
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert results == [list(range(0, n, 8))] * 20
+        assert sorted(runs) == sorted(list(range(0, n, 8)) * 20)
+
 class TestSerialization:
     @pytest.mark.parametrize("fmt", ["bin", "csv"])
     def test_roundtrip_vector(self, tmp_path, fmt):

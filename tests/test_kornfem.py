@@ -596,3 +596,15 @@ def test_failed_seed_check_iterates_from_the_prolonged_maximizer():
         assert est.solver != "seed"
         assert est.to_dict() == alone.to_dict()
         assert est.maximizer.tobytes() == alone.maximizer.tobytes()
+
+
+@pytest.mark.parametrize("levels", [[1, 3], [3, 2]], ids=["gap", "descending"])
+def test_sweep_prolongs_only_from_the_level_below(levels):
+    # a level whose predecessor is not one coarser starts from the default
+    # seed, as it would alone (prolonging it raised a bare reshape or matmul
+    # error)
+    estimates = kf.korn_sweep("square", levels)
+    assert len(estimates) == 2
+    alone = kf.korn_sweep("square", levels[1:])[0]
+    assert estimates[1].to_dict() == alone.to_dict()
+    assert estimates[1].maximizer.tobytes() == alone.maximizer.tobytes()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -512,6 +513,45 @@ class TestStripSweeps:
         assert np.array_equal(strip_extremal.affine, G.mean(axis=(-2, -1)))
         assert np.array_equal(rg._gradient(VectorField2(grid, f), VectorField2(grid, g),
                                            rot).values, G)
+
+
+class TestStripThreads:
+    """The strip sweeps run on ``KORNLAB_THREADS`` threads; every sum is
+    still combined in row order, so no number depends on the thread count."""
+
+    @pytest.mark.parametrize("n, profile, r0, budget", [
+        (64, lambda gr: rg.gaussian_bump(gr, amplitude=0.9, center=(0.5, -0.3)), 0.3, 512),
+        (256, rg.dipole_bump, 1.0472, 8192),
+    ], ids=["gaussian-n64", "dipole-n256"])
+    def test_thread_count_changes_no_bit(self, monkeypatch, n, profile, r0, budget):
+        monkeypatch.setattr(gridfield, "STRIP_ELEMENTS", budget)
+        assert len(gridfield.row_strips(n)) >= 8
+        grid, rot = PeriodicGrid(n, 20.0), mat2.Rotation(r0)
+        values = np.random.default_rng(23).standard_normal((2, 2, n, n))
+        runs = {}
+        for threads in ("1", "2", "3"):  # 3 threads take uneven shares
+            monkeypatch.setenv("KORNLAB_THREADS", threads)
+            extremal, report = rg.synthesize_extremal(profile(grid), rot)
+            G = MatrixField2(grid, values)
+            runs[threads] = (
+                json.dumps(report.to_dict()), extremal.ghat.tobytes(),
+                extremal.affine.tobytes(),
+                np.array([gridfield.support_margin_mass(G), G.norm_l2(),
+                          G.row_curl_residual()]).tobytes(),
+            )
+        assert runs["2"] == runs["1"]
+        assert runs["3"] == runs["1"]
+
+    def test_non_finite_sample_in_the_last_strip_raises_under_two_workers(self,
+                                                                         monkeypatch):
+        monkeypatch.setattr(gridfield, "STRIP_ELEMENTS", 512)
+        monkeypatch.setenv("KORNLAB_THREADS", "2")
+        grid = PeriodicGrid(64, 20.0)
+        assert len(gridfield.row_strips(grid.n)) == 8
+        values = np.zeros((2, 2, grid.n, grid.n))
+        values[1, 0, -1, 5] = np.inf
+        with pytest.raises(ValueError, match="^field contains non-finite samples$"):
+            MatrixField2(grid, values)
 
 
 def test_dipole_synthesis_holds_at_most_14_planes():
