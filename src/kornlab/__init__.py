@@ -17,4 +17,15 @@ The package has four computational layers:
 A batch CLI (``kornlab``) wires the layers together; see :mod:`kornlab.cli`.
 """
 
+import os
+
 __version__ = "0.1.0"
+
+
+def thread_count() -> int:
+    """``KORNLAB_THREADS`` at call time, default 1 (unset or empty).  Read here,
+    without numpy, so the CLI can check it before BLAS loads."""
+    text = os.environ.get("KORNLAB_THREADS") or "1"
+    if not text.isdigit() or int(text) < 1:
+        raise ValueError(f"KORNLAB_THREADS must be a positive integer, got {text!r}")
+    return int(text)

@@ -28,6 +28,7 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
+from . import thread_count
 from .errors import (
     CurlResidualTooLarge,
     DegenerateRotation,
@@ -44,12 +45,12 @@ EXIT_SOLVER = 4
 
 
 def _apply_thread_cap() -> None:
-    cap = os.environ.get("KORNLAB_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
+    """Copy ``KORNLAB_THREADS``, once checked, into the unset BLAS thread variables."""
+    if os.environ.get("KORNLAB_THREADS"):
+        cap = str(thread_count())
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS"):
+            os.environ.setdefault(var, cap)
 
 
 def _report_envelope(command: str, config: dict, result: dict) -> dict:
@@ -426,11 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
 
     try:
+        _apply_thread_cap()  # before any subcommand imports numpy
         return args.func(*_options(args))
     # an overflow comes from a number too large to compute with, such as a box of 1e300
     except (MeshValidationError, CurlResidualTooLarge, ValueError, OverflowError) as exc:

@@ -37,7 +37,6 @@ import csv
 import functools
 import json
 import math
-import os
 import queue
 from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
@@ -45,9 +44,10 @@ from pathlib import Path
 import numpy as np
 import scipy.fft
 
+from . import thread_count as fft_workers  # threads of every FFT and strip sweep
 from .errors import CurlResidualTooLarge
 
-#: Default relative row-curl tolerance for "this matrix field is a gradient".
+#: Relative row-curl tolerance for "this matrix field is a gradient".
 CURL_TOL = 1e-8
 
 #: Margin width (as a fraction of L) and mass bound of the support check.
@@ -57,14 +57,6 @@ SUPPORT_MASS_BOUND = 1e-10
 #: Samples per strip plane in the row-strip sweeps: 2**17 float64, 1 MiB.
 #: A power of two, so strips hold a power-of-two number of rows.
 STRIP_ELEMENTS = 2**17
-
-
-def fft_workers() -> int:
-    """Threads of every FFT and strip sweep: ``KORNLAB_THREADS`` at call time, default 1."""
-    text = os.environ.get("KORNLAB_THREADS") or "1"
-    if not text.isdigit() or int(text) < 1:
-        raise ValueError(f"KORNLAB_THREADS must be a positive integer, got {text!r}")
-    return int(text)
 
 
 def half_spectrum(values: np.ndarray) -> np.ndarray:
@@ -312,11 +304,11 @@ class MatrixField2(_Field):
         return float(np.sqrt(curls).max() / max(np.sqrt(grads).sum(), 1e-300))
 
 
-def check_gradient(G: MatrixField2, tol: float = CURL_TOL, spectrum=None) -> float:
-    """Row-curl residual of G; raises :class:`CurlResidualTooLarge` above ``tol``."""
+def check_gradient(G: MatrixField2, spectrum=None) -> float:
+    """Row-curl residual of G; raises :class:`CurlResidualTooLarge` above ``CURL_TOL``."""
     res = G.row_curl_residual(spectrum)
-    if res > tol:
-        raise CurlResidualTooLarge(res, tol)
+    if res > CURL_TOL:
+        raise CurlResidualTooLarge(res, CURL_TOL)
     return res
 
 
@@ -350,27 +342,27 @@ def potential_from_spectrum(grid: PeriodicGrid, ghat: np.ndarray) -> VectorField
     return VectorField2(grid, from_half_spectrum(uhat))
 
 
-def potential_from_gradient(G: MatrixField2, tol: float = CURL_TOL) -> VectorField2:
+def potential_from_gradient(G: MatrixField2) -> VectorField2:
     """Mean-zero periodic u with grad(u) = G - mean(G).
 
     The constant part of G is the gradient of an affine map, which does not
     live on the torus; callers keep mean(G) as separate metadata.  Raises
-    :class:`CurlResidualTooLarge` when G is not a gradient.
+    :class:`CurlResidualTooLarge` when G is not a gradient (:func:`check_gradient`).
     """
     ghat = half_spectrum(G.values)
-    check_gradient(G, tol, ghat)
+    check_gradient(G, ghat)
     return potential_from_spectrum(G.grid, ghat)
 
 
-def det_integral(G: MatrixField2, tol: float = CURL_TOL) -> float:
+def det_integral(G: MatrixField2) -> float:
     """Integral of det G for a gradient field G.
 
     For G = grad(u) with u effectively supported away from the box boundary
     (or indeed any periodic u) the determinant is a null Lagrangian and the
     integral vanishes.  Raises :class:`CurlResidualTooLarge` when the row
-    curls show G is not a gradient.
+    curls show G is not a gradient (:func:`check_gradient`).
     """
-    check_gradient(G, tol)
+    check_gradient(G)
     return float(G.grid.cell_area * G.det_values().sum())
 
 
@@ -417,12 +409,13 @@ def support_margin_mass(field) -> float:
     return math.sqrt(tail / total)
 
 
-def assert_compact_support(field, bound: float = SUPPORT_MASS_BOUND) -> None:
+def assert_compact_support(field) -> None:
+    """Raise ValueError when the margin mass exceeds ``SUPPORT_MASS_BOUND``."""
     mass = support_margin_mass(field)
-    if mass > bound:
+    if mass > SUPPORT_MASS_BOUND:
         raise ValueError(
             f"field is not compactly supported on the grid: relative L2 mass "
-            f"{mass:.3e} within the boundary margin exceeds {bound:.1e}"
+            f"{mass:.3e} within the boundary margin exceeds {SUPPORT_MASS_BOUND:.1e}"
         )
 
 

@@ -55,6 +55,9 @@ ROTATION_TOL = 1e-8
 #: Relative width of the top eigenvalue cluster for multiplicity reporting.
 CLUSTER_WIDTH = 1e-6
 
+#: Eigenpairs computed below the top one, to report the top cluster's dimension.
+EXTRA_PAIRS = 2
+
 #: Relative bound on the null-Lagrangian gap Z^T (2 symgrad - grad - divdiv) Z
 #: under which a pencil is certified for the shifted preconditioner.
 IDENTITY_TOL = 1e-13
@@ -264,13 +267,14 @@ class LOmegaInfo:
         }
 
 
-def detect_L_omega(mesh: TriMesh, tol: float = ROTATION_TOL) -> LOmegaInfo:
+def detect_L_omega(mesh: TriMesh) -> LOmegaInfo:
     """Least-squares fit of a rotation center to the boundary.
 
     The affine field x -> (x - c)^perp is tangential iff (x - c)^perp . n
     vanishes on the boundary; the misfit is minimized over c at edge
     midpoints with edge-length weights and normalized by the weighted spread
-    of the boundary around the fitted center.
+    of the boundary around the fitted center.  The symmetry is rotational
+    when that misfit is below ``ROTATION_TOL``.
     """
     mids = 0.5 * (mesh.vertices[mesh.boundary_edges[:, 0]] + mesh.vertices[mesh.boundary_edges[:, 1]])
     n = mesh.boundary_normals
@@ -287,7 +291,7 @@ def detect_L_omega(mesh: TriMesh, tol: float = ROTATION_TOL) -> LOmegaInfo:
     misfit = target - m @ center
     spread = np.einsum("e,e->", w, ((mids - center) ** 2).sum(axis=1))
     residual = math.sqrt(float(w @ misfit**2) / max(spread, 1e-300))
-    if residual < tol:
+    if residual < ROTATION_TOL:
         return LOmegaInfo("rotational", residual, center)
     return LOmegaInfo("trivial", residual)
 
@@ -557,7 +561,6 @@ def korn_constant(
     tol: float = 1e-10,
     max_iter: int = 400,
     seed: np.ndarray | None = None,
-    extra_pairs: int = 2,
     dense_threshold: int = 200,
 ) -> KornEstimate:
     """Maximize the Korn Rayleigh quotient on the constrained P1 space.
@@ -565,7 +568,7 @@ def korn_constant(
     ``seed``, a full dof vector (2V) such as a prolonged coarse maximizer,
     is projected onto the constrained space to start the iteration; default
     is the interpolated divergence-free bump, which already carries a
-    quotient close to the supremum.  ``extra_pairs`` deflated eigenpairs
+    quotient close to the supremum.  ``EXTRA_PAIRS`` deflated eigenpairs
     are computed to report the dimension of the top eigenvalue cluster.
     Pencils with at most ``dense_threshold`` dofs are solved densely.  Raises
     :class:`SolverFailure` when the iteration runs ``max_iter`` steps without
@@ -588,44 +591,32 @@ def korn_constant(
     l_omega = detect_L_omega(mesh)
     deflate: list[np.ndarray] = []
     rank_one = None
-    deflated_rotation = False
     if bc == "tangential" and l_omega.kind == "rotational":
         rank_one = forms.curl_vec
         rot = _rotation_dofs(mesh, constraints, l_omega.center)
         if rot is not None:
             deflate.append(rot / np.linalg.norm(rot))
-            deflated_rotation = True
 
     pencil = _Pencil(forms, constraints, rank_one, deflate)
-
-    seed_block = seed if seed is not None and seed.ndim == 2 else None
-    seed = seed if seed_block is None else seed_block[:, 0]
-    seed_coords = pencil.project(
-        constraints.basis.T @ (_bump_seed(mesh) if seed is None else seed))
-    if float(seed_coords @ (pencil.B @ seed_coords)) <= 0.0:
-        rng = np.random.default_rng(0)
-        seed_coords = pencil.project(rng.standard_normal(pencil.n))
-
-    block = min(1 + extra_pairs, pencil.n - len(deflate))
+    block = min(1 + EXTRA_PAIRS, pencil.n - len(deflate))
     if pencil.n <= dense_threshold:
-        vals, vecs = _dense_top(pencil, block)
-        iterations = 0
-        converged = True
-        solver = "dense"
-    elif seed_block is not None and (pairs := _seed_pairs(
-            pencil, constraints.basis.T @ seed_block, block, 100 * tol)) is not None:
+        (vals, vecs), iterations, converged, solver = _dense_top(pencil, block), 0, True, "dense"
+    elif seed is not None and seed.ndim == 2 and (pairs := _seed_pairs(
+            pencil, constraints.basis.T @ seed, block, 100 * tol)) is not None:
         (vals, vecs), iterations, converged, solver = pairs, 0, True, "seed"
     else:
+        start = _bump_seed(mesh) if seed is None else seed[:, 0] if seed.ndim == 2 else seed
+        start = pencil.project(constraints.basis.T @ start)
+        if float(start @ (pencil.B @ start)) <= 0.0:
+            rng = np.random.default_rng(0)
+            start = pencil.project(rng.standard_normal(pencil.n))
         rng = np.random.default_rng(0)
-        seeds = [seed_coords] + [rng.standard_normal(pencil.n) for _ in range(block - 1)]
+        seeds = [start] + [rng.standard_normal(pencil.n) for _ in range(block - 1)]
         vals, vecs, iterations, converged = _block_top(pencil, seeds, tol, max_iter)
         solver = "shifted" if pencil.shifted else "symgrad"
     top = float(vals[0])
     vec = vecs[:, 0]
-    extra = [float(v) for v in vals[1:]]
-
-    cluster = [top] + [v for v in extra]
-    dim = sum(1 for v in cluster if abs(top - v) <= CLUSTER_WIDTH * max(1.0, abs(top)))
+    dim = sum(1 for v in vals if abs(top - v) <= CLUSTER_WIDTH * max(1.0, abs(top)))
 
     Ax = pencil.apply_A(vec)
     Bx = pencil.apply_B(vec)
@@ -645,7 +636,7 @@ def korn_constant(
         dof_count=pencil.n,
         iterations=iterations,
         l_omega=l_omega,
-        deflated_rotation=deflated_rotation,
+        deflated_rotation=bool(deflate),
         solver=solver,
         _top_block=constraints.basis @ vecs,
     )
@@ -676,38 +667,28 @@ def _bump_seed(mesh: TriMesh) -> np.ndarray:
 # Built-in domains and refinement sweeps.
 # ---------------------------------------------------------------------------
 
-def builtin_domain(name: str, level: int = 0, **params) -> TriMesh:
+def builtin_domain(name: str, level: int = 0) -> TriMesh:
     """Mesh generators for the stock domains, parameterized by a level.
 
-    square: 2^level cells per side (level 0 is the two-triangle mesh);
-            nested under level increments.
-    disk:   hex fan subdivided ``level`` times (needs level >= 2 for slip
-            conditions: coarser polygons have only corner vertices).
-    annulus: structured band, 16*2^level angular by 2+level radial.
-    shell:  thin shell around the unit circle; params profile (callable or
-            None for the stock profile) and thickness h.
+    square: unit square, 2^level cells per side (level 0 is the
+            two-triangle mesh); nested under level increments.
+    disk:   unit disk, hex fan subdivided ``level`` times (needs level >= 2
+            for slip conditions: coarser polygons have only corner vertices).
+    annulus: radii 0.5 and 1, structured band, 16*2^level angular by
+            2+level radial.
+    shell:  the stock-profile shell of thickness h = 0.1 around the unit
+            circle, 64*2^level angular by 2+level radial.
     """
     if name == "square":
         return unit_square(2**level)
     if name == "disk":
-        return disk(level, center=params.get("center", (0.0, 0.0)),
-                    radius=params.get("radius", 1.0))
+        return disk(level)
     if name == "annulus":
-        return annulus(
-            params.get("r_inner", 0.5),
-            params.get("r_outer", 1.0),
-            angular=16 * 2**level,
-            radial=2 + level,
-        )
+        return annulus(0.5, 1.0, angular=16 * 2**level, radial=2 + level)
     if name == "shell":
         from .shells import ShellSpec, shell_mesh
 
-        spec = params.get("spec") or ShellSpec(
-            h=params.get("h", 0.1),
-            angular_resolution=64 * 2**level,
-            radial_layers=2 + level,
-        )
-        return shell_mesh(spec)
+        return shell_mesh(ShellSpec(angular_resolution=64 * 2**level, radial_layers=2 + level))
     raise MeshValidationError(f"unknown builtin domain {name!r}")
 
 
@@ -727,13 +708,13 @@ def square_prolongation(coarse: np.ndarray, cells: int) -> np.ndarray:
 
 
 def korn_sweep(domain: str, levels: list[int], bc: str = "tangential",
-               tol: float = 1e-10, **params) -> list[KornEstimate]:
+               tol: float = 1e-10) -> list[KornEstimate]:
     """Refinement sweep; on the square a level one finer than the one before it
     starts from that level's prolonged top block (maximizer first), which makes such
     a sequence nondecreasing by construction (nested spaces, monotone iteration)."""
     estimates: list[KornEstimate] = []
     for i, level in enumerate(levels):
-        mesh = builtin_domain(domain, level=level, **params)
+        mesh = builtin_domain(domain, level=level)
         seed = None
         if domain == "square" and i and levels[i - 1] == level - 1:
             seed = square_prolongation(estimates[-1]._top_block, 2 ** (level - 1))

@@ -137,16 +137,16 @@ def dist_so2(f: Mat2) -> float:
     return math.sqrt(2.0 * (r_c - 1.0) ** 2 + s.anticonformal_norm() ** 2)
 
 
-def closest_rotation(f: Mat2, eps: float = DEGENERACY_EPS) -> Rotation:
+def closest_rotation(f: Mat2) -> Rotation:
     """The unique rotation minimizing |f - R(theta)|.
 
     Equals the angle of the conformal part.  Raises
     :class:`~kornlab.errors.DegenerateRotation` when |F^c| falls below
-    ``eps * max(1, |F|)``: every rotation is then equidistant from f.
+    ``DEGENERACY_EPS * max(1, |F|)``: every rotation is then equidistant from f.
     """
     s = split(f)
     r_c = math.sqrt(s.c_a**2 + s.c_b**2)
-    if r_c < eps * max(1.0, f.frobenius()):
+    if r_c < DEGENERACY_EPS * max(1.0, f.frobenius()):
         raise DegenerateRotation(
             f"conformal part has norm {r_c:.3e}; the closest rotation is not unique"
         )

@@ -32,7 +32,6 @@ from .errors import InfiniteQuotient, MeshValidationError
 class TriMesh:
     vertices: np.ndarray          # (V, 2) float
     triangles: np.ndarray         # (T, 3) int, counterclockwise
-    region_label: str = "custom"
     # Populated by __post_init__:
     boundary_edges: np.ndarray = field(init=False)    # (E, 2) directed vertex pairs
     boundary_normals: np.ndarray = field(init=False)  # (E, 2) outward unit normals
@@ -184,11 +183,11 @@ def unit_square(cells: int) -> TriMesh:
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.stack([X.ravel(), Y.ravel()], axis=1)
     ids = np.arange((m + 1) ** 2).reshape(m + 1, m + 1)
-    return TriMesh(vertices, _split_quads(ids).reshape(-1, 3), region_label=f"square:{m}")
+    return TriMesh(vertices, _split_quads(ids).reshape(-1, 3))
 
 
-def disk(level: int, center: tuple[float, float] = (0.0, 0.0), radius: float = 1.0) -> TriMesh:
-    """Polygonal disk: hexagonal fan subdivided ``level`` times, boundary
+def disk(level: int, center: tuple[float, float] = (0.0, 0.0)) -> TriMesh:
+    """Polygonal unit disk: hexagonal fan subdivided ``level`` times, boundary
     midpoints projected back to the circle after each subdivision."""
     if level < 0:
         raise MeshValidationError("disk level must be nonnegative")
@@ -202,8 +201,7 @@ def disk(level: int, center: tuple[float, float] = (0.0, 0.0), radius: float = 1
         directed, shared = _edge_table(triangles, len(vertices))
         bnd = np.unique(directed[shared == 1])
         vertices[bnd] *= (1.0 / np.linalg.norm(vertices[bnd], axis=1))[:, None]
-    vertices = radius * vertices + np.asarray(center)[None, :]
-    return TriMesh(vertices, triangles, region_label=f"disk:{level}")
+    return TriMesh(vertices + np.asarray(center)[None, :], triangles)
 
 
 def _subdivide(vertices: np.ndarray, triangles: np.ndarray):
@@ -225,16 +223,13 @@ def annulus(
     r_outer: float,
     angular: int = 64,
     radial: int = 4,
-    center: tuple[float, float] = (0.0, 0.0),
 ) -> TriMesh:
-    """Plain circular annulus (constant radii)."""
+    """Plain circular annulus (constant radii) around the origin."""
     return radial_band(
         lambda theta: np.full_like(theta, r_inner),
         lambda theta: np.full_like(theta, r_outer),
         angular=angular,
         radial=radial,
-        center=center,
-        label=f"annulus:{angular}x{radial}",
     )
 
 
@@ -244,7 +239,6 @@ def radial_band(
     angular: int = 64,
     radial: int = 4,
     center: tuple[float, float] = (0.0, 0.0),
-    label: str = "band",
 ) -> TriMesh:
     """Structured mesh between two star-shaped radius profiles of theta."""
     if angular < 3 or radial < 1:
@@ -264,7 +258,7 @@ def radial_band(
     ids = np.arange((radial + 1) * angular).reshape(radial + 1, angular)
     ids = np.concatenate([ids, ids[:, :1]], axis=1)
     tris = _split_quads(ids.T).swapaxes(0, 1).reshape(-1, 3)
-    return TriMesh(vertices, tris, region_label=label)
+    return TriMesh(vertices, tris)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +327,6 @@ def load_mesh(path) -> TriMesh:
     for key in ("vertices", "triangles"):
         if key not in payload:
             raise MeshValidationError(f"mesh file misses required key {key!r}")
-    mesh = TriMesh(payload["vertices"], payload["triangles"], region_label="file")
+    mesh = TriMesh(payload["vertices"], payload["triangles"])
     mesh.validate()
     return mesh

@@ -29,7 +29,6 @@ import numpy as np
 from . import mat2
 from .errors import ZeroDistance
 from .gridfield import (
-    CURL_TOL,
     MatrixField2,
     PeriodicGrid,
     ScalarField,
@@ -167,28 +166,28 @@ def assemble_gradient(
     alpha: ScalarField,
     g: VectorField2,
     r0: mat2.Rotation = mat2.Rotation(0.0),
-    tol: float = CURL_TOL,
 ) -> MatrixField2:
     """Pointwise gradient R0 (R(alpha) + [[a, b], [b, -a]]) with g = (a, b).
 
     Left-multiplying by the constant rotation R0 keeps the conformal part in
-    SO(2) and rotates the anticonformal coefficient vector by R0.  The
-    consistency of (alpha, g) is re-checked through the row curls.
+    SO(2) and rotates the anticonformal coefficient vector by R0.  The row
+    curls re-check the consistency of (alpha, g) against ``CURL_TOL``.
     """
     G = _gradient(build_f(alpha), g, r0)
-    check_gradient(G, tol)
+    check_gradient(G)
     return G
 
 
-def rigidity_ratio(G: MatrixField2, curl_tol: float = CURL_TOL) -> ExtremalReport:
+def rigidity_ratio(G: MatrixField2) -> ExtremalReport:
     """Certificate for a gradient field: best rotation, both sides, ratio.
 
     The minimizer of the integral of |G - R|^2 over SO(2) depends only on
     the mean of G: it is the closest rotation to the conformal part of the
     mean.  Raises :class:`ZeroDistance` when G is a rotation field a.e.
-    (the rigidity quotient is then 0/0).
+    (the rigidity quotient is then 0/0), and :class:`CurlResidualTooLarge`
+    when its row curls exceed ``CURL_TOL``.
     """
-    curl_residual = check_gradient(G, curl_tol)
+    curl_residual = check_gradient(G)
     # per strip: dist^2, the entries of G
     sums = tree_sum(map_strips(G.grid.n, lambda rows: [
         _dist_sq_sum(G.values[:, :, rows]), *_entry_sums(G.values[:, :, rows])]))
@@ -318,7 +317,7 @@ def synthesize_extremal(
 
     ghat = half_spectrum(G.values)
     mean = _mean(grid, sums[5:9])
-    report = _certificate(G, check_gradient(G, CURL_TOL, ghat), sums[4], mean)
+    report = _certificate(G, check_gradient(G, ghat), sums[4], mean)
     extremal = ExtremalField(grid, ghat, mean)
 
     report.alpha_norm = alpha_norm

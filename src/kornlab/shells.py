@@ -86,7 +86,6 @@ def shell_mesh(spec: ShellSpec) -> TriMesh:
         lambda theta: spec.radii(theta)[1],
         angular=spec.angular_resolution,
         radial=spec.radial_layers,
-        label=f"shell:h={spec.h}",
     )
 
 

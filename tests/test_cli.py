@@ -304,8 +304,10 @@ _SQUARE_VERTICES = [[0, 0], [1, 0], [0, 1], [1, 1]]
     ({"vertices": _SQUARE_VERTICES, "triangles": [[0, 1, 2.5], [1, 3, 2]]}, "integers"),
     ({"vertices": [[0], [1], [2]], "triangles": [[0, 1, 2]]}, "2D points"),
     (7, "JSON object"),
+    ({"vertices": [[0, 0], [1, 0], [0, float("nan")]], "triangles": [[0, 1, 2]]},
+     "vertex coordinates must be finite"),
 ], ids=["two-indices", "ragged", "past-end", "negative", "empty", "non-integer",
-        "1d-vertices", "not-an-object"])
+        "1d-vertices", "not-an-object", "nan-vertex"])
 def test_malformed_mesh_file_names_defect(tmp_path, capsys, payload, message):
     path = tmp_path / "mesh.json"
     path.write_text(json.dumps(payload))
@@ -697,3 +699,62 @@ def test_numbers_too_large_to_compute_with_exit_2(tmp_path, capsys, argv, key):
         warnings.simplefilter("ignore", RuntimeWarning)
         assert run(_with_config(tmp_path, ["rigidity", "--n", "64"] + argv)) == 2
     assert capsys.readouterr().err.startswith(f"kornlab: invalid input: {key}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["korn", "--refine", "0"],
+    ["shell", "--angular", "16", "--radial", "1"],
+    ["rigidity", "--n", "64"],
+    ["selftest", "--samples", "2000"],
+], ids=["korn", "shell", "rigidity", "selftest"])
+@pytest.mark.parametrize("threads", ["abc", "0", "-1"])
+def test_invalid_thread_count_exits_2_before_blas_sees_it(monkeypatch, capsys, argv, threads):
+    # korn and shell used to run, with the value exported to BLAS; rigidity
+    # and selftest exited 2 only at their first FFT, after the export
+    import os
+
+    monkeypatch.setenv("KORNLAB_THREADS", threads)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"kornlab: invalid input: KORNLAB_THREADS must be a positive integer, got {threads!r}\n")
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+def _alpha_header(tmp_path, **changes):
+    path = tmp_path / "alpha.json"
+    save_field(ScalarField(PeriodicGrid(16, 8.0), np.zeros((16, 16))), path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
+    return path
+
+
+def _vector_field_file(tmp_path):
+    from kornlab.gridfield import VectorField2
+
+    path = tmp_path / "vector.json"
+    save_field(VectorField2(PeriodicGrid(16, 8.0), np.zeros((2, 16, 16))), path)
+    return path
+
+
+def _list_config(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]")
+    return path
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["korn", "--config", _list_config], "config file must hold a flat JSON object"),
+    (["shell", "--profile", " "], "empty profile ' '"),
+    (["rigidity", "--alpha-file", _vector_field_file],
+     "alpha file must hold a single-component field"),
+    (["rigidity", "--alpha-file", lambda d: _alpha_header(d, components=3)],
+     "unsupported component count 3"),
+    (["rigidity", "--alpha-file", lambda d: _alpha_header(d, format="xml")],
+     "unknown field format 'xml'"),
+], ids=["config-list", "blank-profile", "vector-alpha", "three-components", "xml-format"])
+def test_refusal_names_its_defect(tmp_path, capsys, argv, message):
+    argv = [str(item(tmp_path)) if callable(item) else item for item in argv]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"kornlab: invalid input: {message}\n"
