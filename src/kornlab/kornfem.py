@@ -29,21 +29,25 @@ other pencil is preconditioned with B^{-1}.
 
 The iteration moves n x k blocks: per step, sparse block products with A
 and B and one multi-column solve with the preconditioner, whose definite
-forms are factored in a symmetric order without pivoting (the indefinite
-saddle form used under deflation keeps partial pivoting).
+forms are factored in a symmetric order without pivoting.  Where a rigid
+rotation q is deflated, B is singular along q, so one dof is pinned and
+the rest of B is factored as a definite form.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import MeshValidationError, SolverFailure
-from .mesh import TriMesh, annulus, disk, evaluate_field_ratio, unit_square  # noqa: F401
+from .mesh import (TriMesh, annulus, band_prolongation, disk, disk_prolongation,  # noqa: F401
+                   evaluate_field_ratio, unit_square)
 
 #: Boundary vertices whose adjacent edge normals differ by more than this
 #: angle (radians) are treated as corners and pinned.
@@ -81,14 +85,20 @@ class AssembledForms:
 
     grad:   integral of grad u : grad v
     symgrad: integral of D(u) : D(v)
-    divdiv: integral of (div u)(div v)
+    divdiv: integral of (div u)(div v), built on first read: only
+            :func:`null_lagrangian_gap` needs it, and rotational pencils never
+            measure the gap
     """
 
     grad: sp.csr_matrix
     symgrad: sp.csr_matrix
-    divdiv: sp.csr_matrix
     area: float
     curl_vec: np.ndarray  # linear functional u -> integral of (d1 u2 - d2 u1)
+    _build_divdiv: Callable[[], sp.csr_matrix]
+
+    @cached_property
+    def divdiv(self) -> sp.csr_matrix:
+        return self._build_divdiv()
 
 
 def _shape_gradients(mesh: TriMesh):
@@ -119,17 +129,14 @@ def assemble(mesh: TriMesh) -> AssembledForms:
     gg = np.einsum("tia,tja->tij", grads, grads)  # (T, 3, 3)
     A_loc = np.zeros((T, 6, 6))
     S_loc = np.zeros((T, 6, 6))  # integral of grad u : (grad v)^T
-    C_loc = np.zeros((T, 6, 6))
     for c in range(2):
         for d in range(2):
             block = np.s_[:, c::2, d::2]  # local dofs (i, c) x (j, d)
             if c == d:
                 A_loc[block] += gg
             S_loc[block] += np.einsum("ti,tj->tij", grads[:, :, d], grads[:, :, c])
-            C_loc[block] += np.einsum("ti,tj->tij", grads[:, :, c], grads[:, :, d])
     A_loc *= areas[:, None, None]
     S_loc *= areas[:, None, None]
-    C_loc *= areas[:, None, None]
     B_loc = 0.5 * (A_loc + S_loc)
 
     dof = np.empty((T, 6), dtype=np.int64)
@@ -144,6 +151,12 @@ def assemble(mesh: TriMesh) -> AssembledForms:
         m = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(ndof, ndof))
         return m.tocsr()
 
+    def build_divdiv():
+        # div u div v -> (G_i)_c (G_j)_d on local dofs (i, c) x (j, d), whose
+        # index 2 i + c is that of the flattened (3, 2) gradients
+        flat = grads.reshape(T, 6)
+        return build(np.einsum("ti,tj->tij", flat, flat) * areas[:, None, None])
+
     # Curl functional: integral of (d1 u2 - d2 u1).
     curl = np.zeros(ndof)
     np.add.at(curl, 2 * mesh.triangles + 1, areas[:, None] * grads[:, :, 0])
@@ -152,9 +165,9 @@ def assemble(mesh: TriMesh) -> AssembledForms:
     return AssembledForms(
         grad=build(A_loc),
         symgrad=build(B_loc),
-        divdiv=build(C_loc),
         area=float(areas.sum()),
         curl_vec=curl,
+        _build_divdiv=build_divdiv,
     )
 
 
@@ -330,31 +343,30 @@ class KornEstimate:
 
 
 class _Pencil:
-    """Constrained pencil (A~, B) with optional rank-one curl downdate and
-    deflated rigid-rotation directions removed from the trial space.
+    """Constrained pencil (A~, B) with optional rank-one curl downdate and an
+    optional deflated rigid rotation removed from the trial space.
 
     The operators take n x k blocks or vectors.  ``shifted`` records whether
     the pencil is certified for the shifted preconditioner (module docstring)."""
 
     def __init__(self, forms: AssembledForms, constraints: ConstraintSet,
-                 rank_one: np.ndarray | None, deflate: list[np.ndarray]):
+                 rank_one: np.ndarray | None, deflate: np.ndarray | None):
         Z = constraints.basis
         Zt = Z.T.tocsr()  # a CSR left factor halves the cost of the products
         self.A = (Zt @ forms.grad @ Z).tocsr()
         self.B = (Zt @ forms.symgrad @ Z).tocsr()
         self.ell = None if rank_one is None else Zt @ rank_one
         self.scale = 2.0 * forms.area
-        self.deflate = deflate  # orthonormal directions excluded from trials
+        self.deflate = deflate  # unit direction excluded from trials, or None
         self.n = Z.shape[1]
-        self.shifted = (rank_one is None and not deflate
+        self.shifted = (rank_one is None and deflate is None
                         and null_lagrangian_gap(forms, Z) <= IDENTITY_TOL)
         self._solve = None
         self._M = None  # operator that the first solve's residual is measured with
 
     def project(self, X: np.ndarray) -> np.ndarray:
-        for q in self.deflate:
-            X = X - np.multiply.outer(q, q @ X)
-        return X
+        q = self.deflate
+        return X if q is None else X - np.multiply.outer(q, q @ X)
 
     def apply_A(self, X: np.ndarray) -> np.ndarray:
         Y = self.A @ X
@@ -371,38 +383,35 @@ class _Pencil:
         On a certified pencil this solves (sigma B - A) Y = R with
         sigma = 2 (1 + SHIFT_DELTA); the matrix equals C + 2 delta B there,
         which is symmetric positive definite.  Otherwise it solves B Y = R
-        on the deflated subspace: without deflation a direct sparse solve;
-        with deflated kernel directions Q the sparse saddle system
-        [[B, Q], [Q^T, 0]] pins Q^T Y = 0 while solving B Y = R modulo
-        span Q, which is the correct restricted inverse (B is singular
-        along Q).  The factor is made on the first call: the definite forms
-        in a symmetric minimum-degree order without pivoting, the indefinite
-        saddle form with partial pivoting.  A singular definite form can
-        still factor, with a roundoff-sized pivot, into finite garbage; the
-        first solve's relative residual, above ``SOLVE_TOL``, exposes it.
+        on the deflated subspace.  With a deflated rotation q, B q = 0 and q
+        spans the kernel of B, so the dof k where |q_k| is largest is pinned:
+        the rest of B is definite, Y_k = 0, and projecting out q gives the
+        solution orthogonal to q.  For R orthogonal to q that solves
+        B Y = R exactly, since row k follows from q^T B = 0.  The factor is
+        made on the first call, in a symmetric minimum-degree order without
+        pivoting.  A singular form can still factor, with a roundoff-sized
+        pivot, into finite garbage; the first solve's relative residual,
+        above ``SOLVE_TOL``, exposes it.
         """
         what = "shifted form sigma B - A" if self.shifted else "symmetric-gradient form"
         first = self._solve is None
         if first:
-            definite = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
-                        "options": {"SymmetricMode": True}}
-            self._M = self.B
+            self._M = M = self.B
             if self.shifted:
-                self._M = (2.0 * (1.0 + SHIFT_DELTA) * self.B - self.A).tocsr()
-            M, options = self._M, definite
-            if self.deflate:
-                Q = np.stack(self.deflate, axis=1)
-                M, options = sp.bmat([[self.B, Q], [Q.T, None]]), {}
+                self._M = M = (2.0 * (1.0 + SHIFT_DELTA) * self.B - self.A).tocsr()
+            q = self.deflate
+            if q is not None:
+                keep = np.delete(np.arange(self.n), np.argmax(np.abs(q)))
+                M = M[keep][:, keep]
             try:
-                lu = spla.splu(M.tocsc(), **options)
+                lu = spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                               options={"SymmetricMode": True})
             except Exception as exc:
                 raise SolverFailure(
                     f"factorization of the {what} failed "
                     f"(undetected rigid mode or broken mesh): {exc}"
                 ) from exc
-            pad, n = M.shape[0] - self.n, self.n
-            self._solve = lambda R: lu.solve(
-                np.concatenate([R, np.zeros((pad,) + R.shape[1:])]))[:n]
+            self._solve = lu.solve if q is None else _pinned_solve(lu, q, keep)
         Y = self._solve(R)
         if not np.all(np.isfinite(Y)) or (
             first and np.linalg.norm(self.project(self._M @ Y - R))
@@ -412,6 +421,18 @@ class _Pencil:
                 f"singular {what}: undetected rigid mode or geometry/symmetry mismatch"
             )
         return Y
+
+
+def _pinned_solve(lu, q: np.ndarray, keep: np.ndarray):
+    """Solve with the factor of B on the ``keep`` dofs: the pinned dof is 0,
+    then q is projected out.  The closure holds no pencil, so the factor is
+    freed with its pencil instead of waiting for a reference cycle to be
+    collected."""
+    def solve(R: np.ndarray) -> np.ndarray:
+        Y = np.zeros_like(R)
+        Y[keep] = lu.solve(R[keep])
+        return Y - np.multiply.outer(q, q @ Y)
+    return solve
 
 
 def _block_top(pencil: _Pencil, seeds: list[np.ndarray], tol: float, max_iter: int
@@ -431,9 +452,9 @@ def _block_top(pencil: _Pencil, seeds: list[np.ndarray], tol: float, max_iter: i
 
     A step moves the whole block: sparse block products with A and B, one
     multi-column solve with T = ``pencil.precondition`` (the shifted inverse
-    (sigma B - A)^{-1} on a certified pencil, B^{-1} otherwise; definite
-    factors in a symmetric order, the deflated saddle form with partial
-    pivoting) and B-orthonormalization on small Gram matrices.  With B^{-1}
+    (sigma B - A)^{-1} on a certified pencil, B^{-1} otherwise, with one dof
+    pinned where a rotation is deflated; definite factors in a symmetric
+    order) and B-orthonormalization on small Gram matrices.  With B^{-1}
     the iteration converges at the rate set by the relative gap below the
     top eigenvalue, which is tiny where the Dirichlet spectrum clusters
     below 2 (hundreds of iterations at 8k dofs); the shift just above 2
@@ -529,7 +550,7 @@ def _dense_top(pencil: _Pencil, count: int):
     if pencil.ell is not None:
         A = A - np.outer(pencil.ell, pencil.ell) / pencil.scale
     B = pencil.B.toarray()
-    Q = np.stack(pencil.deflate, axis=1) if pencil.deflate else np.zeros((pencil.n, 0))
+    Q = np.zeros((pencil.n, 0)) if pencil.deflate is None else pencil.deflate[:, None]
     complement = np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]  # orthonormal
     # B = L L^T reduces the pencil for numpy's LAPACK: scipy's eigh runs in a
     # second OpenBLAS thread pool, 30-120 ms instead of 2 ms at 98 dofs (2 BLAS
@@ -577,7 +598,10 @@ def korn_constant(
     A (2V, k) ``seed`` block, maximizer first, is Rayleigh-Ritz reduced before
     anything is factored: if that gives the iteration's block of pairs with
     relative residuals at most ``100 * tol``, they are the result (``solver``
-    "seed", 0 iterations); otherwise its first column starts the iteration.
+    "seed", 0 iterations).  Otherwise it starts the iteration: the whole
+    block on a pencil that deflates a rotation, where it carries the
+    rotational partner of the maximizer; elsewhere only its first column,
+    with random companions.
     """
     if bc not in ("tangential", "dirichlet"):
         raise ValueError(f"unknown boundary condition {bc!r}")
@@ -589,16 +613,15 @@ def korn_constant(
         raise SolverFailure("constrained space is empty; refine the mesh")
 
     l_omega = detect_L_omega(mesh)
-    deflate: list[np.ndarray] = []
-    rank_one = None
+    deflate = rank_one = None
     if bc == "tangential" and l_omega.kind == "rotational":
         rank_one = forms.curl_vec
         rot = _rotation_dofs(mesh, constraints, l_omega.center)
         if rot is not None:
-            deflate.append(rot / np.linalg.norm(rot))
+            deflate = rot / np.linalg.norm(rot)
 
     pencil = _Pencil(forms, constraints, rank_one, deflate)
-    block = min(1 + EXTRA_PAIRS, pencil.n - len(deflate))
+    block = min(1 + EXTRA_PAIRS, pencil.n - (deflate is not None))
     if pencil.n <= dense_threshold:
         (vals, vecs), iterations, converged, solver = _dense_top(pencil, block), 0, True, "dense"
     elif seed is not None and seed.ndim == 2 and (pairs := _seed_pairs(
@@ -611,7 +634,12 @@ def korn_constant(
             rng = np.random.default_rng(0)
             start = pencil.project(rng.standard_normal(pencil.n))
         rng = np.random.default_rng(0)
-        seeds = [start] + [rng.standard_normal(pencil.n) for _ in range(block - 1)]
+        companions = [rng.standard_normal(pencil.n) for _ in range(block - 1)]
+        if deflate is not None and seed is not None and seed.ndim == 2:
+            # the whole block keeps the rotational partner of the maximizer;
+            # on the Dirichlet square it ended lower, by about 1e-11
+            companions[:0] = (constraints.basis.T @ seed[:, 1:block]).T
+        seeds = [start, *companions[:block - 1]]
         vals, vecs, iterations, converged = _block_top(pencil, seeds, tol, max_iter)
         solver = "shifted" if pencil.shifted else "symgrad"
     top = float(vals[0])
@@ -636,7 +664,7 @@ def korn_constant(
         dof_count=pencil.n,
         iterations=iterations,
         l_omega=l_omega,
-        deflated_rotation=bool(deflate),
+        deflated_rotation=deflate is not None,
         solver=solver,
         _top_block=constraints.basis @ vecs,
     )
@@ -707,16 +735,38 @@ def square_prolongation(coarse: np.ndarray, cells: int) -> np.ndarray:
     return new.reshape(-1, *coarse.shape[1:])
 
 
+def _prolongation(domain: str, bc: str, coarse: TriMesh, level: int):
+    """Prolongation of full dof blocks from the stock ``domain`` mesh
+    ``coarse`` of ``level`` to the next level, or None where sweeps start
+    from the bump: the shell, where prolonged seeds cost iterations, and
+    the Dirichlet disk and annulus, whose pencils deflate no rotation and
+    were never measured with seeds."""
+    if domain == "square":
+        return lambda block: square_prolongation(block, 2**level)
+    if bc != "tangential":
+        return None
+    if domain == "disk":
+        return lambda block: disk_prolongation(block, coarse)
+    if domain == "annulus":
+        return lambda block: band_prolongation(block, 16 * 2**level, 2 + level)
+    return None
+
+
 def korn_sweep(domain: str, levels: list[int], bc: str = "tangential",
                tol: float = 1e-10) -> list[KornEstimate]:
-    """Refinement sweep; on the square a level one finer than the one before it
-    starts from that level's prolonged top block (maximizer first), which makes such
-    a sequence nondecreasing by construction (nested spaces, monotone iteration)."""
+    """Refinement sweep; a level one finer than the one before it starts from
+    that level's prolonged top block (maximizer first) on the square, and on
+    the slip disk and annulus, whose pencils deflate a rotation.  On the
+    square that makes the sequence nondecreasing by construction (nested
+    spaces, monotone iteration); the disk and annulus meshes are not nested,
+    so there the seed only saves iterations."""
     estimates: list[KornEstimate] = []
+    prolong = None
     for i, level in enumerate(levels):
         mesh = builtin_domain(domain, level=level)
         seed = None
-        if domain == "square" and i and levels[i - 1] == level - 1:
-            seed = square_prolongation(estimates[-1]._top_block, 2 ** (level - 1))
+        if prolong is not None and levels[i - 1] == level - 1:
+            seed = prolong(estimates[-1]._top_block)
         estimates.append(korn_constant(mesh, bc=bc, tol=tol, seed=seed))
+        prolong = _prolongation(domain, bc, mesh, level)
     return estimates

@@ -12,6 +12,10 @@ All edge topology comes from one edge table (``_edge_table``: directed
 edges and how many triangles share each), read by the boundary extraction,
 by validation and by the disk's boundary projection.
 
+Next to the disk and band generators sit their prolongations, which carry
+a dof block to the next level of the sweep: the disk's in the edge order
+of its own subdivision, the band's in (angle, layer) index space.
+
 ``evaluate_field_ratio`` integrates analytic fields over a mesh with pure
 numpy quadrature, so that the shell experiment loads no scipy.
 """
@@ -204,18 +208,37 @@ def disk(level: int, center: tuple[float, float] = (0.0, 0.0)) -> TriMesh:
     return TriMesh(vertices + np.asarray(center)[None, :], triangles)
 
 
-def _subdivide(vertices: np.ndarray, triangles: np.ndarray):
-    """Uniform 1-to-4 midpoint subdivision; midpoints are numbered in the
-    order their edges first appear (ab, bc, ca per triangle)."""
+def _midpoint_edges(triangles: np.ndarray, nverts: int):
+    """The edges of a mesh in the order they first appear (ab, bc, ca per
+    triangle): their end vertices (E, 2), and the position of each
+    triangle's ab, bc, ca edge in that order (T, 3)."""
     edges = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    key = edges.min(axis=1) * len(vertices) + edges.max(axis=1)
+    key = edges.min(axis=1) * nverts + edges.max(axis=1)
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    ab, bc, ca = (len(vertices) + np.argsort(np.argsort(first))[inverse]).reshape(-1, 3).T
+    return edges[np.sort(first)], np.argsort(np.argsort(first))[inverse].reshape(-1, 3)
+
+
+def _subdivide(vertices: np.ndarray, triangles: np.ndarray):
+    """Uniform 1-to-4 midpoint subdivision; midpoints are numbered after the
+    vertices, in the order their edges first appear (``_midpoint_edges``)."""
+    ends, position = _midpoint_edges(triangles, len(vertices))
+    ab, bc, ca = (len(vertices) + position).T
     a, b, c = triangles.T
-    ends = edges[np.sort(first)]
     vertices = np.concatenate([vertices, 0.5 * (vertices[ends[:, 0]] + vertices[ends[:, 1]])])
     new_tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
     return vertices, new_tris.reshape(-1, 3)
+
+
+def disk_prolongation(coarse: np.ndarray, mesh: TriMesh) -> np.ndarray:
+    """Prolong a full dof vector or (2V, k) block from the disk mesh ``mesh``
+    to the disk one level finer: each coarse vertex keeps its id and value,
+    and each midpoint takes the average of its edge's two ends.  That is the
+    P1 interpolant, except at boundary midpoints, which the finer mesh moves
+    onto the circle."""
+    ends, _ = _midpoint_edges(mesh.triangles, len(mesh.vertices))
+    old = coarse.reshape(len(mesh.vertices), 2, -1)
+    new = np.concatenate([old, 0.5 * (old[ends[:, 0]] + old[ends[:, 1]])])
+    return new.reshape(-1, *coarse.shape[1:])
 
 
 def annulus(
@@ -259,6 +282,23 @@ def radial_band(
     ids = np.concatenate([ids, ids[:, :1]], axis=1)
     tris = _split_quads(ids.T).swapaxes(0, 1).reshape(-1, 3)
     return TriMesh(vertices, tris)
+
+
+def band_prolongation(coarse: np.ndarray, angular: int, radial: int) -> np.ndarray:
+    """Prolong a full dof vector or (2V, k) block from the ``radial_band``
+    mesh with ``angular`` angles and ``radial`` layers to the one with
+    2 * angular angles and radial + 1 layers: linear interpolation in
+    (angle, layer) index space, periodic in the angle."""
+    old = coarse.reshape(radial + 1, angular, 2, -1)
+    wide = np.empty((radial + 1, 2 * angular) + old.shape[2:])
+    wide[:, 0::2] = old
+    wide[:, 1::2] = 0.5 * (old + np.roll(old, -1, axis=1))
+    # fine layer j sits at coarse layer index j * radial / (radial + 1)
+    pos = np.arange(radial + 2) * radial / (radial + 1)
+    below = np.minimum(pos.astype(np.int64), radial - 1)
+    w = (pos - below)[:, None, None, None]
+    new = (1.0 - w) * wide[below] + w * wide[below + 1]
+    return new.reshape(-1, *coarse.shape[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,21 @@ class TestKornCommand:
         assert last["l_omega"]["kind"] == "rotational"
         assert last["deflated_rotation"]
 
+    def test_rotational_mesh_file_off_the_origin(self, tmp_path):
+        # the rotation is deflated about the fitted centre, not the origin
+        from kornlab.kornfem import korn_constant
+        from kornlab.mesh import disk, save_mesh
+
+        mesh_path, report = tmp_path / "disk.json", tmp_path / "report.json"
+        save_mesh(disk(4, center=(0.3, -0.2)), mesh_path)
+        assert run(["korn", "--mesh-file", str(mesh_path), "--report", str(report)]) == 0
+        (level,) = json.loads(report.read_text())["result"]["levels"]
+        assert level["l_omega"]["kind"] == "rotational"
+        np.testing.assert_allclose(level["l_omega"]["center"], [0.3, -0.2], atol=1e-12)
+        assert level["deflated_rotation"]
+        assert level["top_eigenspace_dim"] == 2
+        assert abs(level["kappa_sq"] - korn_constant(disk(4)).kappa_sq) <= 1e-12
+
     def test_malformed_mesh_file_exits_2_with_diagnostic(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"vertices": [[0,0],[1,0],[2,0]], "triangles": [[0,1,2]]}')

@@ -1,9 +1,12 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg  # noqa: F401  (sp.linalg for the saddle-form oracle)
 
 from kornlab import kornfem as kf
 from kornlab.errors import InfiniteQuotient, SolverFailure
@@ -305,7 +308,7 @@ class TestKornConstant:
         mesh = disk(3)
         forms = kf.assemble(mesh)
         cs = kf.tangential_constraints(mesh)
-        pencil = kf._Pencil(forms, cs, forms.curl_vec, [])
+        pencil = kf._Pencil(forms, cs, forms.curl_vec, None)
         grads, areas = kf._shape_gradients(mesh)
         J = np.array([[0.0, -1.0], [1.0, 0.0]])
         rng = np.random.default_rng(5)
@@ -329,7 +332,7 @@ class TestKornConstant:
         mesh = unit_square(4)
         forms = kf.assemble(mesh)
         constraints = kf.tangential_constraints(mesh)
-        pencil = kf._Pencil(forms, constraints, None, [])
+        pencil = kf._Pencil(forms, constraints, None, None)
         vals, vecs = kf._dense_top(pencil, 3)
         top = vals[0]
         cluster = vecs[:, np.abs(vals - top) <= 1e-6 * max(1.0, abs(top))]
@@ -405,7 +408,7 @@ class TestShiftedPreconditioner:
         mesh = unit_square(16)
         est = kf.korn_constant(mesh, bc="tangential")
         assert est.solver == "shifted"
-        pencil = kf._Pencil(kf.assemble(mesh), kf.tangential_constraints(mesh), None, [])
+        pencil = kf._Pencil(kf.assemble(mesh), kf.tangential_constraints(mesh), None, None)
         vals, _ = kf._dense_top(pencil, 1)
         assert abs(est.kappa_sq - vals[0]) <= 1e-8 * vals[0]
         vec = kf.tangential_constraints(mesh).basis.T @ est.maximizer
@@ -456,9 +459,25 @@ class TestEvaluateFieldRatio:
         assert res["tangency_residual"] < 1e-12
 
 
+def _deflated_disk_pencil(level):
+    mesh = disk(level)
+    forms, constraints = kf.assemble(mesh), kf.tangential_constraints(mesh)
+    rot = kf._rotation_dofs(mesh, constraints, kf.detect_L_omega(mesh).center)
+    return kf._Pencil(forms, constraints, forms.curl_vec, rot / np.linalg.norm(rot))
+
+
+def _saddle_solve(B, q, R):
+    """Oracle for B Y = R modulo span q with q^T Y = 0: the saddle form
+    [[B, q], [q^T, 0]] factored with partial pivoting.  Returns Y and the
+    factor's L + U nonzeros."""
+    lu = sp.linalg.splu(sp.bmat([[B, q[:, None]], [q[None, :], None]]).tocsc())
+    Y = lu.solve(np.concatenate([R, np.zeros((1, R.shape[1]))]))[:-1]
+    return Y, lu.L.nnz + lu.U.nnz
+
+
 def _undeflated_disk_pencil():
     mesh = disk(3)
-    return mesh, kf._Pencil(kf.assemble(mesh), kf.tangential_constraints(mesh), None, [])
+    return mesh, kf._Pencil(kf.assemble(mesh), kf.tangential_constraints(mesh), None, None)
 
 
 class TestBlockKernel:
@@ -489,7 +508,7 @@ class TestBlockKernel:
 
     def test_one_block_solve_per_iteration(self):
         mesh = unit_square(16)
-        pencil = kf._Pencil(kf.assemble(mesh), kf.dirichlet_constraints(mesh), None, [])
+        pencil = kf._Pencil(kf.assemble(mesh), kf.dirichlet_constraints(mesh), None, None)
         pencil.precondition(np.zeros((pencil.n, 1)))  # factor once
         solve, shapes = pencil._solve, []
 
@@ -512,6 +531,41 @@ class TestBlockKernel:
         R = np.random.default_rng(0).standard_normal((pencil.n, 3))
         with pytest.raises(SolverFailure, match="singular symmetric-gradient form"):
             pencil.precondition(R)
+
+    @pytest.mark.parametrize("level,nnz_ratio", [(3, 0.75), (4, 0.65), (5, 0.5)])
+    def test_pinned_solve_matches_saddle_oracle(self, level, nnz_ratio, monkeypatch):
+        # the dense column q fills the saddle factor more the finer the mesh:
+        # pinned over saddle L + U nonzeros measure 0.67, 0.58 and 0.37
+        pencil = _deflated_disk_pencil(level)
+        q = pencil.deflate
+        R = pencil.project(np.random.default_rng(level).standard_normal((pencil.n, 3)))
+        oracle, saddle_nnz = _saddle_solve(pencil.B, q, R)
+        factors, splu = [], kf.spla.splu
+
+        def recording(M, **kw):
+            factors.append(splu(M, **kw))
+            return factors[-1]
+
+        monkeypatch.setattr(kf.spla, "splu", recording)
+        Y = pencil.precondition(R)
+        assert np.linalg.norm(Y - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        assert np.abs(q @ Y).max() <= 1e-12 * np.linalg.norm(Y)
+        (lu,) = factors
+        assert lu.shape == (pencil.n - 1, pencil.n - 1)
+        assert lu.L.nnz + lu.U.nnz < nnz_ratio * saddle_nnz
+
+    def test_factored_pencil_is_freed_without_the_cycle_collector(self):
+        # a solve closure that held its pencil would keep every factor of a
+        # sweep alive until the cyclic garbage collector ran
+        pencil = _deflated_disk_pencil(3)
+        pencil.precondition(pencil.project(np.ones((pencil.n, 1))))
+        ref = weakref.ref(pencil)
+        gc.disable()
+        try:
+            del pencil
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_thin_shell_converges(self):
         # B is badly conditioned on the thin shell: with a single
@@ -539,7 +593,8 @@ class TestBlockKernel:
 
 # Per-level kappa^2 and iteration counts of the stock sweeps, as computed
 # before the eigen kernel was blocked; the slip square's levels 4-7 take
-# their pairs from the prolonged top block, without iterating.
+# their pairs from the prolonged top block, without iterating, and the disk
+# and annulus levels iterate from it.
 SWEEP_PINS = {
     ("square", "dirichlet"): [
         (1.6, 0), (1.9067168808452177, 0), (1.9790124185070403, 0),
@@ -550,12 +605,12 @@ SWEEP_PINS = {
         (2.0000000000000004, 0), (2.0000000000000093, 0), (2.000000000000006, 0),
     ],
     ("disk", "tangential"): [
-        (1.9506093398208024, 0), (3.8913728339307885, 0), (3.971604327031767, 11),
-        (3.992792349750504, 11), (3.9981893936044433, 12),
+        (1.9506093398208024, 0), (3.8913728339307885, 0), (3.971604327031767, 7),
+        (3.992792349750504, 6), (3.9981893936044433, 6),
     ],
     ("annulus", "tangential"): [
-        (3.9458929376383285, 0), (3.977146302941696, 11), (3.98778778954525, 11),
-        (3.992212442150958, 11),
+        (3.9458929376383285, 0), (3.977146302941696, 6), (3.98778778954525, 6),
+        (3.992212442150958, 5),
     ],
 }
 
@@ -567,6 +622,17 @@ def test_sweep_values_and_iterations_pinned(domain, bc):
     assert [e.iterations for e in estimates] == [it for _, it in pins]
     for est, (kappa_sq, _) in zip(estimates, pins):
         assert abs(est.kappa_sq - kappa_sq) <= 1e-10
+
+
+@pytest.mark.parametrize("domain,levels", [("disk", [2, 3, 4, 5]), ("annulus", [1, 2, 3, 4])])
+def test_rotational_sweep_seeds_keep_the_rotational_partner(domain, levels):
+    # the top eigenvalue of the slip disk and annulus is double; a start from
+    # the prolonged maximizer alone loses its partner and reports dimension 1
+    # on disk levels 4-5 and annulus levels 3-4
+    estimates = kf.korn_sweep(domain, levels)
+    assert [est.top_eigenspace_dim for est in estimates] == [2] * len(levels)
+    assert all(est.deflated_rotation for est in estimates)
+    assert [est.solver for est in estimates[1:]] == ["symgrad"] * (len(levels) - 1)
 
 
 def test_slip_square_sweep_takes_levels_from_the_seed_block(monkeypatch):

@@ -5,8 +5,15 @@ import pytest
 
 from kornlab.errors import MeshValidationError
 from kornlab.mesh import (
-    TriMesh, annulus, disk, load_mesh, radial_band, save_mesh, unit_square,
+    TriMesh, annulus, band_prolongation, disk, disk_prolongation, load_mesh, radial_band,
+    save_mesh, unit_square,
 )
+
+
+def _affine_dofs(vertices, M, b):
+    # full dof blocks (2V, k) of the affine fields x -> M[..., j] x + b[:, j]
+    values = np.einsum("cdj,vd->vcj", M, vertices) + b[None]
+    return values.reshape(2 * len(vertices), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +169,22 @@ class TestDisk:
         errors = [abs(a - np.pi) for a in areas]
         assert errors[-1] < errors[0] / 10
 
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+    def test_prolongation_of_affine_field_is_exact_off_projected_midpoints(self, level):
+        rng = np.random.default_rng(level)
+        M, b = rng.standard_normal((2, 2, 3)), rng.standard_normal((2, 3))
+        coarse, fine = disk(level, center=(0.3, -0.2)), disk(level + 1, center=(0.3, -0.2))
+        got = disk_prolongation(_affine_dofs(coarse.vertices, M, b), coarse)
+        err = np.abs(got - _affine_dofs(fine.vertices, M, b)).reshape(-1, 2, 3).max(axis=(1, 2))
+        projected = np.zeros(len(fine.vertices), dtype=bool)
+        projected[fine.boundary_vertices()] = True
+        projected[:len(coarse.vertices)] = False  # coarse boundary vertices stay put
+        assert err[~projected].max() <= 1e-14
+        assert err[projected].min() > 1e-6  # moved onto the circle
+        one = disk_prolongation(_affine_dofs(coarse.vertices, M, b)[:, 0], coarse)
+        assert one.shape == (2 * len(fine.vertices),)
+        np.testing.assert_array_equal(one, got[:, 0])
+
 
 class TestAnnulus:
     def test_two_loops_opposite_orientation(self):
@@ -186,6 +209,24 @@ class TestAnnulus:
     def test_rejects_inverted_radii(self):
         with pytest.raises(MeshValidationError):
             annulus(1.0, 0.5)
+
+    @pytest.mark.parametrize("angular,radial", [(16, 2), (32, 3), (64, 4)])
+    def test_prolongation_of_radially_affine_field_is_exact(self, angular, radial):
+        # the radius is affine in the layer index and constant in the angle,
+        # so index-space interpolation reproduces fields affine in the radius
+        coarse = annulus(0.5, 1.0, angular=angular, radial=radial)
+        fine = annulus(0.5, 1.0, angular=2 * angular, radial=radial + 1)
+        rng = np.random.default_rng(angular)
+        a, b = rng.standard_normal((2, 2, 3))
+
+        def dofs(mesh):
+            r = np.linalg.norm(mesh.vertices, axis=1)
+            return (r[:, None, None] * a + b).reshape(2 * len(r), -1)
+
+        got = band_prolongation(dofs(coarse), angular, radial)
+        np.testing.assert_allclose(got, dofs(fine), rtol=0, atol=1e-14)
+        one = band_prolongation(dofs(coarse)[:, 1], angular, radial)
+        np.testing.assert_array_equal(one, got[:, 1])
 
 
 class TestValidation:
