@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -399,21 +400,22 @@ def cmd_selftest(config: dict, values: dict) -> int:
 # Parser and entry point.
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="kornlab",
         description="Korn and rigidity constant laboratory (batch runs).",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     commands = {
-        "korn": (cmd_korn, "FEM Korn-constant estimation"),
-        "rigidity": (cmd_rigidity, "synthesize an extremal rigidity field"),
-        "shell": (cmd_shell, "thin-shell blow-up experiment"),
-        "selftest": (cmd_selftest, "run the invariant suites"),
+        "korn": "FEM Korn-constant estimation",
+        "rigidity": "synthesize an extremal rigidity field",
+        "shell": "thin-shell blow-up experiment",
+        "selftest": "run the invariant suites",
     }
-    for name, (func, text) in commands.items():
+    for name, text in commands.items():
         p = sub.add_parser(name, help=text)
-        p.set_defaults(func=func)
         p.add_argument("--config", help="flat JSON config; explicit flags override")
         for key, opt in OPTIONS[name].items():
             flag = "--" + key.replace("_", "-")
@@ -432,7 +434,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         _apply_thread_cap()  # before any subcommand imports numpy
-        return args.func(*_options(args))
+        # looked up per call: wrappers set on the module after import take effect
+        return globals()[f"cmd_{args.subcommand}"](*_options(args))
     # an overflow comes from a number too large to compute with, such as a box of 1e300
     except (MeshValidationError, CurlResidualTooLarge, ValueError, OverflowError) as exc:
         sys.stderr.write(f"kornlab: invalid input: {exc}\n")

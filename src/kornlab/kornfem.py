@@ -595,13 +595,13 @@ def korn_constant(
     :class:`SolverFailure` when the iteration runs ``max_iter`` steps without
     converging.
 
-    A (2V, k) ``seed`` block, maximizer first, is Rayleigh-Ritz reduced before
-    anything is factored: if that gives the iteration's block of pairs with
-    relative residuals at most ``100 * tol``, they are the result (``solver``
-    "seed", 0 iterations).  Otherwise it starts the iteration: the whole
-    block on a pencil that deflates a rotation, where it carries the
-    rotational partner of the maximizer; elsewhere only its first column,
-    with random companions.
+    A (2V, k) ``seed`` block, maximizer first, starts the iteration whole on
+    a pencil that deflates a rotation, carrying the maximizer's rotational
+    partner (those disk and annulus meshes are not nested, and no Rayleigh-Ritz
+    check of the block passed there).  Elsewhere it is Rayleigh-Ritz reduced
+    before anything is factored: pairs with relative residuals at most
+    ``100 * tol`` are the result (``solver`` "seed", 0 iterations); otherwise
+    its first column starts the iteration, with random companions.
     """
     if bc not in ("tangential", "dirichlet"):
         raise ValueError(f"unknown boundary condition {bc!r}")
@@ -624,7 +624,7 @@ def korn_constant(
     block = min(1 + EXTRA_PAIRS, pencil.n - (deflate is not None))
     if pencil.n <= dense_threshold:
         (vals, vecs), iterations, converged, solver = _dense_top(pencil, block), 0, True, "dense"
-    elif seed is not None and seed.ndim == 2 and (pairs := _seed_pairs(
+    elif deflate is None and seed is not None and seed.ndim == 2 and (pairs := _seed_pairs(
             pencil, constraints.basis.T @ seed, block, 100 * tol)) is not None:
         (vals, vecs), iterations, converged, solver = pairs, 0, True, "seed"
     else:

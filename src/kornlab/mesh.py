@@ -318,13 +318,16 @@ def evaluate_field_ratio(mesh: TriMesh, u_fn, grad_fn) -> dict:
     t = mesh.triangles
     areas = np.abs(mesh.areas())
     p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    mids = np.stack([0.5 * (p0 + p1), 0.5 * (p1 + p2), 0.5 * (p2 + p0)])  # (3, T, 2)
+    pts = np.stack([0.5 * (p0 + p1), 0.5 * (p1 + p2), 0.5 * (p2 + p0)]).reshape(-1, 2)
+    del p0, p1, p2
     w = np.repeat(areas[None, :] / 3.0, 3, axis=0).ravel()
-    pts = mids.reshape(-1, 2)
     G = np.asarray(grad_fn(pts), dtype=float)
+    del pts
     grad_sq = float(np.einsum("q,qij->", w, G**2))
-    D = 0.5 * (G + np.swapaxes(G, 1, 2))
-    sym_sq = float(np.einsum("q,qij->", w, D**2))
+    D = G + np.swapaxes(G, 1, 2)  # 0.5 (G + G^T), halved and squared in its own buffer
+    del G
+    D *= 0.5
+    sym_sq = float(np.einsum("q,qij->", w, np.square(D, out=D)))
 
     bmids = 0.5 * (v[mesh.boundary_edges[:, 0]] + v[mesh.boundary_edges[:, 1]])
     ub = np.asarray(u_fn(bmids), dtype=float)

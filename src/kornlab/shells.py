@@ -59,6 +59,8 @@ class ShellSpec:
         for coeffs, start in ((self.cos_coeffs, 0), (self.sin_coeffs, 3)):
             negate, fn = _DERIVATIVE_CYCLE[(start + order) % 4]
             for k, c in coeffs.items():
+                if k == 0 and order:
+                    continue  # scale 0: the term adds a signed zero, no value
                 scale = c
                 for _ in range(order):
                     scale = scale * k
@@ -113,18 +115,22 @@ def shell_field(spec: ShellSpec):
 
     def grad_fn(pts):
         pts = np.asarray(pts, dtype=float)
-        r = np.linalg.norm(pts, axis=1)
+        x, y = pts[:, 0], pts[:, 1]
+        r = np.sqrt(x * x + y * y)  # np.linalg.norm(pts, axis=1), bit for bit
         if np.any(r == 0.0):
             raise ValueError("shell field undefined at the origin")
-        theta = np.arctan2(pts[:, 1], pts[:, 0])
-        rhat = pts / r[:, None]
-        that = np.stack([-rhat[:, 1], rhat[:, 0]], axis=1)
-        J = np.array([[0.0, -1.0], [1.0, 0.0]])
-        g1 = spec.profile(theta, 1)
-        g2 = spec.profile(theta, 2)
-        out = np.broadcast_to(J, (len(pts), 2, 2)).copy()
-        out += (spec.h * g2 / r)[:, None, None] * np.einsum("ni,nj->nij", rhat, that)
-        out += (spec.h * g1 / r)[:, None, None] * np.einsum("ni,nj->nij", that, that)
+        theta = np.arctan2(y, x)
+        rhat = (x / r, y / r)
+        that = (-rhat[1], rhat[0])
+        c2 = spec.h * spec.profile(theta, 2) / r
+        c1 = spec.h * spec.profile(theta, 1) / r
+        J = ((0.0, -1.0), (1.0, 0.0))
+        # entry by entry, without (N, 2, 2) temporaries; the sum runs
+        # (J + t1) + t2, and the reported norms keep their last bits only in it
+        out = np.empty((len(pts), 2, 2))
+        for i in range(2):
+            for j in range(2):
+                out[:, i, j] = J[i][j] + c2 * (rhat[i] * that[j]) + c1 * (that[i] * that[j])
         return out
 
     return u_fn, grad_fn

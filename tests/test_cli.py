@@ -1,13 +1,19 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kornlab
+from kornlab import cli
 from kornlab.cli import main, parse_profile
 from kornlab.gridfield import PeriodicGrid, ScalarField, save_field
 
@@ -773,3 +779,44 @@ def test_refusal_names_its_defect(tmp_path, capsys, argv, message):
     argv = [str(item(tmp_path)) if callable(item) else item for item in argv]
     assert run(argv) == 2
     assert capsys.readouterr().err == f"kornlab: invalid input: {message}\n"
+
+
+class TestCachedParser:
+    """``main`` builds its parser once per process and looks up the
+    subcommand function at call time."""
+
+    SHELL = ["shell", "--h-list", "0.1,0.05", "--angular", "128", "--radial", "2"]
+    RIGIDITY = ["rigidity", "--n", "64", "--width", "0.5", "--amplitude", "0.4"]
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reports_match_separate_processes(self, tmp_path):
+        src = str(Path(kornlab.__file__).resolve().parent.parent)
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for argv in (self.SHELL, self.RIGIDITY):
+            here, alone = tmp_path / "here.json", tmp_path / "alone.json"
+            assert run([*argv, "--report", str(here)]) == 0
+            subprocess.run([sys.executable, "-m", "kornlab.cli", *argv, "--report", str(alone)],
+                           env=env, check=True)
+            reports = [json.loads(path.read_text()) for path in (here, alone)]
+            for report in reports:
+                report.pop("timestamp")
+                report["config"].pop("report")
+            assert reports[0] == reports[1]
+
+    def test_runs_the_function_set_after_the_first_call(self, tmp_path, monkeypatch):
+        assert run([*self.RIGIDITY, "--report", str(tmp_path / "r.json")]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_rigidity", lambda config, values: calls.append(values) or 0)
+        assert run(self.RIGIDITY) == 0
+        assert [values["n"] for values in calls] == [64]
+
+    def test_bad_arguments_exit_2_after_a_good_call(self, tmp_path, capsys):
+        assert run([*self.SHELL, "--report", str(tmp_path / "s.json")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(["korn", "--refine", "two"])
+        assert exc.value.code == 2
+        assert run(["korn", "--tol", "nan"]) == 2
+        assert "tol must be finite" in capsys.readouterr().err

@@ -664,6 +664,20 @@ def test_failed_seed_check_iterates_from_the_prolonged_maximizer():
         assert est.maximizer.tobytes() == alone.maximizer.tobytes()
 
 
+def test_rotational_seed_blocks_skip_the_rayleigh_ritz_check(monkeypatch):
+    # the disk and annulus meshes are not nested, and the check never passed
+    # there: their seed blocks start the iteration without it
+    checked = []
+    seed_pairs = kf._seed_pairs
+    monkeypatch.setattr(kf, "_seed_pairs", lambda *a: checked.append(a[0].n) or seed_pairs(*a))
+    for domain, top in (("disk", 4), ("annulus", 3)):
+        estimates = kf.korn_sweep(domain, list(range(1, top + 1)))
+        assert all(est.deflated_rotation for est in estimates[1:])
+    assert checked == []
+    kf.korn_sweep("square", [1, 2, 3, 4])
+    assert len(checked) == 1  # level 4: the only seeded level above the dense ones
+
+
 @pytest.mark.parametrize("levels", [[1, 3], [3, 2]], ids=["gap", "descending"])
 def test_sweep_prolongs_only_from_the_level_below(levels):
     # a level whose predecessor is not one coarser starts from the default

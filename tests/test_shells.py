@@ -184,3 +184,97 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit oracles: the shell quadrature as it was written with (N, 2, 2)
+# temporaries, which the lean code must reproduce exactly.
+# ---------------------------------------------------------------------------
+
+#: The profiles ``perfbench.workloads.shell_coeffs`` draws for the
+#: korn-slip-geometry seeds 1-4, in the key order of its coefficient files.
+SEEDED_PROFILES = [
+    ({0: 0.16767211026193887, 2: 0.0975096618156631}, {3: -0.05158543894859189}),
+    ({0: 0.17649856984126147, 4: 0.09674529760198278}, {2: -0.04440598954088187}),
+    ({0: 0.12407290919853806, 4: 0.06896932213908284}, {3: -0.04269629613960141}),
+    ({0: 0.13361443142285317, 2: 0.07934279866212449}, {4: -0.04091018961844338}),
+]
+
+
+def _oracle_profile(spec, theta, order):
+    # every term, the k = 0 ones of the derivatives included
+    g = np.zeros_like(theta)
+    for coeffs, start in ((spec.cos_coeffs, 0), (spec.sin_coeffs, 3)):
+        for k, c in coeffs.items():
+            scale = c
+            for _ in range(order):
+                scale = scale * k
+            phase = (start + order) % 4
+            fn = np.cos if phase in (0, 2) else np.sin
+            if phase in (1, 2):
+                g -= scale * fn(k * theta)
+            else:
+                g += scale * fn(k * theta)
+    return g
+
+
+def _oracle_grad(spec, pts):
+    r = np.linalg.norm(pts, axis=1)
+    theta = np.arctan2(pts[:, 1], pts[:, 0])
+    rhat = pts / r[:, None]
+    that = np.stack([-rhat[:, 1], rhat[:, 0]], axis=1)
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    g1 = _oracle_profile(spec, theta, 1)
+    g2 = _oracle_profile(spec, theta, 2)
+    out = np.broadcast_to(J, (len(pts), 2, 2)).copy()
+    out += (spec.h * g2 / r)[:, None, None] * np.einsum("ni,nj->nij", rhat, that)
+    out += (spec.h * g1 / r)[:, None, None] * np.einsum("ni,nj->nij", that, that)
+    return out
+
+
+def _oracle_row(spec):
+    mesh = shell_mesh(spec)
+    v, t = mesh.vertices, mesh.triangles
+    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+    mids = np.stack([0.5 * (p0 + p1), 0.5 * (p1 + p2), 0.5 * (p2 + p0)])
+    w = np.repeat(np.abs(mesh.areas())[None, :] / 3.0, 3, axis=0).ravel()
+    G = _oracle_grad(spec, mids.reshape(-1, 2))
+    grad_norm = math.sqrt(float(np.einsum("q,qij->", w, G**2)))
+    D = 0.5 * (G + np.swapaxes(G, 1, 2))
+    sym_norm = math.sqrt(float(np.einsum("q,qij->", w, D**2)))
+    bmids = 0.5 * (v[mesh.boundary_edges[:, 0]] + v[mesh.boundary_edges[:, 1]])
+    r = np.linalg.norm(bmids, axis=1)
+    theta = np.arctan2(bmids[:, 1], bmids[:, 0])
+    perp = np.stack([-bmids[:, 1], bmids[:, 0]], axis=1)
+    ub = perp + spec.h * _oracle_profile(spec, theta, 1)[:, None] * bmids / r[:, None]
+    tangency = float(np.abs(np.einsum("ei,ei->e", ub, mesh.boundary_normals)).max())
+    return grad_norm, sym_norm, grad_norm / sym_norm, tangency
+
+
+PROFILES = [({0: 0.2, 3: 0.05}, {}), *SEEDED_PROFILES]
+PROFILE_IDS = ["stock", "seed1", "seed2", "seed3", "seed4"]
+
+
+@pytest.mark.parametrize("cos_coeffs, sin_coeffs", PROFILES, ids=PROFILE_IDS)
+def test_grad_fn_matches_the_outer_product_oracle_bitwise(cos_coeffs, sin_coeffs):
+    spec = ShellSpec(cos_coeffs=cos_coeffs, sin_coeffs=sin_coeffs, h=0.05)
+    rng = np.random.default_rng(17)
+    theta = rng.uniform(0.0, 2.0 * math.pi, 4096)
+    radius = rng.uniform(0.5, 1.5, 4096)
+    pts = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
+    assert np.all(shell_field(spec)[1](pts) == _oracle_grad(spec, pts))
+    for order in range(3):
+        assert np.all(spec.profile(theta, order) == _oracle_profile(spec, theta, order))
+
+
+@pytest.mark.parametrize("angular", [2048, 8192])
+@pytest.mark.parametrize("cos_coeffs, sin_coeffs", PROFILES, ids=PROFILE_IDS)
+def test_blowup_rows_match_the_quadrature_oracle_bitwise(cos_coeffs, sin_coeffs, angular):
+    spec = ShellSpec(cos_coeffs=cos_coeffs, sin_coeffs=sin_coeffs, angular_resolution=angular)
+    h_list = [0.1, 0.05, 0.025, 0.0125]
+    table = blowup_experiment(spec, h_list)
+    for h, row in zip(h_list, table.rows):
+        spec_h = ShellSpec(cos_coeffs=cos_coeffs, sin_coeffs=sin_coeffs, h=h,
+                           angular_resolution=angular)
+        expected = _oracle_row(spec_h)
+        assert (row.grad_norm, row.symgrad_norm, row.ratio, row.tangency_residual) == expected
