@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -343,7 +344,8 @@ def cmd_rigidity(config: dict, values: dict) -> int:
 
 
 def cmd_shell(config: dict, values: dict) -> int:
-    from .shells import DEFAULT_COS_COEFFS, BlowupTable, ShellSpec, blowup_experiment
+    from .shells import (DEFAULT_COS_COEFFS, BlowupRow, BlowupTable, ShellSpec,
+                         blowup_experiment)
 
     if "coeffs" in values:
         raw = _load(_read_json, values["coeffs"], "coeffs file")
@@ -368,10 +370,8 @@ def cmd_shell(config: dict, values: dict) -> int:
     if "csv" in values:
         with open(values["csv"], "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["h", "grad_norm", "symgrad_norm", "ratio", "tangency_residual"])
-            for row in table.rows:
-                writer.writerow([row.h, row.grad_norm, row.symgrad_norm,
-                                 row.ratio, row.tangency_residual])
+            writer.writerow([f.name for f in dataclasses.fields(BlowupRow)])
+            writer.writerows(dataclasses.astuple(row) for row in table.rows)
     _write_report(values.get("report"),
                   _report_envelope("shell", config, table.to_dict()))
     return EXIT_OK

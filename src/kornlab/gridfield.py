@@ -206,9 +206,6 @@ class _Field:
         self.grid = grid
         self.values = values
 
-    def integrate(self) -> float | np.ndarray:
-        return self.grid.cell_area * self.values.sum(axis=(-2, -1))
-
     def mean(self) -> float | np.ndarray:
         return self.values.mean(axis=(-2, -1))
 

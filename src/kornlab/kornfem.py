@@ -47,7 +47,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import MeshValidationError, SolverFailure
 from .mesh import (TriMesh, annulus, band_prolongation, disk, disk_prolongation,  # noqa: F401
-                   evaluate_field_ratio, unit_square)
+                   unit_square)
 
 #: Boundary vertices whose adjacent edge normals differ by more than this
 #: angle (radians) are treated as corners and pinned.
@@ -73,6 +73,12 @@ SHIFT_DELTA = 1e-8
 
 #: First-solve relative residual above which a factored form counts as singular.
 SOLVE_TOL = 1e-6
+
+#: Steps of the block eigen iteration before it counts as not converged.
+MAX_ITER = 400
+
+#: Pencils with at most this many dofs are solved densely.
+DENSE_THRESHOLD = 200
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +441,7 @@ def _pinned_solve(lu, q: np.ndarray, keep: np.ndarray):
     return solve
 
 
-def _block_top(pencil: _Pencil, seeds: list[np.ndarray], tol: float, max_iter: int
+def _block_top(pencil: _Pencil, seeds: list[np.ndarray], tol: float
                ) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """Locally optimal block iteration for the largest eigenpairs of (A~, B).
 
@@ -465,7 +471,7 @@ def _block_top(pencil: _Pencil, seeds: list[np.ndarray], tol: float, max_iter: i
 
     Returns (values, vectors, iterations, converged); values sorted
     descending, vectors B-orthonormal, and ``converged`` false when
-    ``max_iter`` steps ran without the stopping rule firing.
+    ``MAX_ITER`` steps ran without the stopping rule firing.
     """
     X = _b_orthonormalize(pencil, pencil.project(np.stack(seeds, axis=1)))
     if X.shape[1] == 0:
@@ -475,7 +481,7 @@ def _block_top(pencil: _Pencil, seeds: list[np.ndarray], tol: float, max_iter: i
     stall = 0
     iterations = 0
     converged = False
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         iterations = it + 1
         AX = pencil.apply_A(X)
         rhos = np.einsum("ij,ij->j", X, AX)
@@ -580,9 +586,7 @@ def korn_constant(
     mesh: TriMesh,
     bc: str = "tangential",
     tol: float = 1e-10,
-    max_iter: int = 400,
     seed: np.ndarray | None = None,
-    dense_threshold: int = 200,
 ) -> KornEstimate:
     """Maximize the Korn Rayleigh quotient on the constrained P1 space.
 
@@ -591,8 +595,8 @@ def korn_constant(
     is the interpolated divergence-free bump, which already carries a
     quotient close to the supremum.  ``EXTRA_PAIRS`` deflated eigenpairs
     are computed to report the dimension of the top eigenvalue cluster.
-    Pencils with at most ``dense_threshold`` dofs are solved densely.  Raises
-    :class:`SolverFailure` when the iteration runs ``max_iter`` steps without
+    Pencils with at most ``DENSE_THRESHOLD`` dofs are solved densely.  Raises
+    :class:`SolverFailure` when the iteration runs ``MAX_ITER`` steps without
     converging.
 
     A (2V, k) ``seed`` block, maximizer first, starts the iteration whole on
@@ -622,7 +626,7 @@ def korn_constant(
 
     pencil = _Pencil(forms, constraints, rank_one, deflate)
     block = min(1 + EXTRA_PAIRS, pencil.n - (deflate is not None))
-    if pencil.n <= dense_threshold:
+    if pencil.n <= DENSE_THRESHOLD:
         (vals, vecs), iterations, converged, solver = _dense_top(pencil, block), 0, True, "dense"
     elif deflate is None and seed is not None and seed.ndim == 2 and (pairs := _seed_pairs(
             pencil, constraints.basis.T @ seed, block, 100 * tol)) is not None:
@@ -640,7 +644,7 @@ def korn_constant(
             # on the Dirichlet square it ended lower, by about 1e-11
             companions[:0] = (constraints.basis.T @ seed[:, 1:block]).T
         seeds = [start, *companions[:block - 1]]
-        vals, vecs, iterations, converged = _block_top(pencil, seeds, tol, max_iter)
+        vals, vecs, iterations, converged = _block_top(pencil, seeds, tol)
         solver = "shifted" if pencil.shifted else "symgrad"
     top = float(vals[0])
     vec = vecs[:, 0]
@@ -652,7 +656,7 @@ def korn_constant(
     if not converged:
         raise SolverFailure(
             f"eigen iteration did not converge: {pencil.n} dofs, {iterations} "
-            f"iterations (max_iter), relative residual {resid:.3e}"
+            f"iterations (MAX_ITER), relative residual {resid:.3e}"
         )
     maximizer = constraints.basis @ vec
 

@@ -190,9 +190,10 @@ def unit_square(cells: int) -> TriMesh:
     return TriMesh(vertices, _split_quads(ids).reshape(-1, 3))
 
 
-def disk(level: int, center: tuple[float, float] = (0.0, 0.0)) -> TriMesh:
-    """Polygonal unit disk: hexagonal fan subdivided ``level`` times, boundary
-    midpoints projected back to the circle after each subdivision."""
+def disk(level: int) -> TriMesh:
+    """Polygonal unit disk about the origin: hexagonal fan subdivided
+    ``level`` times, boundary midpoints projected back to the circle after
+    each subdivision."""
     if level < 0:
         raise MeshValidationError("disk level must be nonnegative")
     angles = np.arange(6) * (math.pi / 3.0)
@@ -205,7 +206,7 @@ def disk(level: int, center: tuple[float, float] = (0.0, 0.0)) -> TriMesh:
         directed, shared = _edge_table(triangles, len(vertices))
         bnd = np.unique(directed[shared == 1])
         vertices[bnd] *= (1.0 / np.linalg.norm(vertices[bnd], axis=1))[:, None]
-    return TriMesh(vertices + np.asarray(center)[None, :], triangles)
+    return TriMesh(vertices, triangles)
 
 
 def _midpoint_edges(triangles: np.ndarray, nverts: int):
@@ -261,9 +262,9 @@ def radial_band(
     outer_fn,
     angular: int = 64,
     radial: int = 4,
-    center: tuple[float, float] = (0.0, 0.0),
 ) -> TriMesh:
-    """Structured mesh between two star-shaped radius profiles of theta."""
+    """Structured mesh between two star-shaped radius profiles of theta,
+    about the origin."""
     if angular < 3 or radial < 1:
         raise MeshValidationError("band mesh needs angular >= 3 and radial >= 1")
     theta = 2.0 * math.pi * np.arange(angular) / angular
@@ -274,7 +275,6 @@ def radial_band(
     s = (np.arange(radial + 1) / radial)[:, None]
     r = (1.0 - s) * r_in + s * r_out
     vertices = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1).reshape(-1, 2)
-    vertices = vertices + np.asarray(center)[None, :]
     # Layer j holds ids j*angular ... j*angular + angular - 1; the first id
     # column appended again closes the angle.  Cells go layer by layer, each
     # cut with its angular step first.

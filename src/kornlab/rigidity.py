@@ -216,8 +216,8 @@ def _certificate(
     """Report from the row-curl residual, the summed dist^2(G, SO(2)) and the
     mean of G; one more sweep sums |G - R*|^2."""
     rhs = float(G.grid.cell_area * dist_sq_sum)
-    rstar = mat2.closest_rotation(mat2.Mat2.from_array(mean))
-    lhs = _lhs_at(G, rstar.theta)
+    rstar = mat2.closest_rotation(mean)
+    lhs = _lhs_at(G, rstar.as_array())
 
     if rhs <= ZERO_DISTANCE_EPS * max(1.0, lhs):
         raise ZeroDistance(
@@ -246,13 +246,11 @@ def _lhs_total(grid: PeriodicGrid, terms: np.ndarray) -> float:
     return float(grid.cell_area * total)
 
 
-def _lhs_at(G: MatrixField2, theta: float) -> float:
-    """Integral of |G - R(theta)|^2, summed entry by entry and strip by
-    strip.  Taken directly, not as the moment form |G|^2 - 2 tr(R^T G) + 2,
-    whose terms are O(L^2) against an O(1) result and cancel away about
-    three digits at L = 20."""
-    c, s = math.cos(theta), math.sin(theta)
-    R = ((c, -s), (s, c))
+def _lhs_at(G: MatrixField2, R: np.ndarray) -> float:
+    """Integral of |G - R|^2 for a (2, 2) rotation R, summed entry by entry
+    and strip by strip.  Taken directly, not as the moment form
+    |G|^2 - 2 tr(R^T G) + 2, whose terms are O(L^2) against an O(1) result
+    and cancel away about three digits at L = 20."""
     parts = map_strips(G.grid.n, lambda rows: _lhs_terms(G.values[:, :, rows], R))
     return _lhs_total(G.grid, tree_sum(parts))
 

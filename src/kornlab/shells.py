@@ -14,7 +14,7 @@ so the Korn quotient grows like 1/h as the shell thins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -173,13 +173,7 @@ def blowup_experiment(spec: ShellSpec, h_list: list[float]) -> BlowupTable:
         raise ValueError("thickness list must be strictly decreasing")
     rows = []
     for h in h_list:
-        spec_h = ShellSpec(
-            cos_coeffs=dict(spec.cos_coeffs),
-            sin_coeffs=dict(spec.sin_coeffs),
-            h=float(h),
-            angular_resolution=spec.angular_resolution,
-            radial_layers=spec.radial_layers,
-        )
+        spec_h = replace(spec, h=float(h))
         mesh = shell_mesh(spec_h)
         u_fn, grad_fn = shell_field(spec_h)
         result = evaluate_field_ratio(mesh, u_fn, grad_fn)

@@ -107,10 +107,11 @@ class TestKornCommand:
     def test_rotational_mesh_file_off_the_origin(self, tmp_path):
         # the rotation is deflated about the fitted centre, not the origin
         from kornlab.kornfem import korn_constant
-        from kornlab.mesh import disk, save_mesh
+        from kornlab.mesh import TriMesh, disk, save_mesh
 
         mesh_path, report = tmp_path / "disk.json", tmp_path / "report.json"
-        save_mesh(disk(4, center=(0.3, -0.2)), mesh_path)
+        mesh = disk(4)
+        save_mesh(TriMesh(mesh.vertices + (0.3, -0.2), mesh.triangles), mesh_path)
         assert run(["korn", "--mesh-file", str(mesh_path), "--report", str(report)]) == 0
         (level,) = json.loads(report.read_text())["result"]["levels"]
         assert level["l_omega"]["kind"] == "rotational"
@@ -178,12 +179,9 @@ class TestKornCommand:
         assert levels[-1]["iterations"] == 0
 
     def test_unconverged_iteration_exits_4(self, monkeypatch, capsys):
-        from functools import partial
-
         from kornlab import kornfem
 
-        monkeypatch.setattr(kornfem, "korn_constant",
-                            partial(kornfem.korn_constant, max_iter=3))
+        monkeypatch.setattr(kornfem, "MAX_ITER", 3)
         code = run(["korn", "--domain", "disk", "--refine", "3"])
         assert code == 4
         err = capsys.readouterr().err

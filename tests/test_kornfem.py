@@ -10,7 +10,7 @@ import scipy.sparse.linalg  # noqa: F401  (sp.linalg for the saddle-form oracle)
 
 from kornlab import kornfem as kf
 from kornlab.errors import InfiniteQuotient, SolverFailure
-from kornlab.mesh import TriMesh, annulus, disk, unit_square
+from kornlab.mesh import TriMesh, annulus, disk, evaluate_field_ratio, unit_square
 
 
 def element_matrices_oracle():
@@ -225,7 +225,8 @@ class TestDetectLOmega:
         assert info.residual > 1e-3
 
     def test_shifted_disk_recovers_center(self):
-        info = kf.detect_L_omega(disk(4, center=(3.0, -1.0)))
+        m = disk(4)
+        info = kf.detect_L_omega(TriMesh(m.vertices + (3.0, -1.0), m.triangles))
         assert info.kind == "rotational"
         assert np.abs(info.center - np.array([3.0, -1.0])).max() < 1e-3
 
@@ -261,15 +262,13 @@ class TestKornConstant:
         vals = eigh(A, B, eigvals_only=True)
         assert abs(est.kappa_sq - vals[-1]) < 1e-12 * max(1.0, vals[-1])
 
-    def test_iterative_path_matches_dense(self):
-        mesh = disk(3)
-        it = kf.korn_constant(mesh, bc="tangential")
-        dn = kf.korn_constant(mesh, bc="tangential", dense_threshold=10**6)
-        assert abs(it.kappa_sq - dn.kappa_sq) <= 1e-8 * dn.kappa_sq
-        mesh = unit_square(12)
-        it = kf.korn_constant(mesh, bc="dirichlet")
-        dn = kf.korn_constant(mesh, bc="dirichlet", dense_threshold=10**6)
-        assert abs(it.kappa_sq - dn.kappa_sq) <= 1e-8 * dn.kappa_sq
+    def test_iterative_path_matches_dense(self, monkeypatch):
+        for mesh, bc in ((disk(3), "tangential"), (unit_square(12), "dirichlet")):
+            it = kf.korn_constant(mesh, bc=bc)
+            with monkeypatch.context() as m:
+                m.setattr(kf, "DENSE_THRESHOLD", 10**6)
+                dn = kf.korn_constant(mesh, bc=bc)
+            assert abs(it.kappa_sq - dn.kappa_sq) <= 1e-8 * dn.kappa_sq
 
     def test_square_tangential_sweep_monotone_to_two(self):
         estimates = kf.korn_sweep("square", [1, 2, 3, 4], bc="tangential")
@@ -358,11 +357,12 @@ class TestKornConstant:
         est = kf.korn_constant(kf.builtin_domain(domain, level=level), bc="tangential")
         assert est.kappa_sq >= 2.0 - 0.05
 
-    def test_non_convergence_raises_with_counts(self):
+    def test_non_convergence_raises_with_counts(self, monkeypatch):
         # three steps leave the disk far from converged (residual ~0.8)
+        monkeypatch.setattr(kf, "MAX_ITER", 3)
         with pytest.raises(SolverFailure,
                            match=r"did not converge: \d+ dofs, 3 iterations.*residual"):
-            kf.korn_constant(disk(4), bc="tangential", max_iter=3)
+            kf.korn_constant(disk(4), bc="tangential")
 
     def test_builtin_square_level_zero_is_two_triangles(self):
         mesh = kf.builtin_domain("square", level=0)
@@ -384,11 +384,12 @@ class TestShiftedPreconditioner:
         ids=["square-dirichlet", "disk-dirichlet", "square-slip", "disk-slip",
              "annulus-slip", "shell-slip"],
     )
-    def test_certification(self, mesh_factory, bc, solver):
+    def test_certification(self, mesh_factory, bc, solver, monkeypatch):
         # certified: no curl downdate, no deflation, identity on the dofs;
         # the rotational disk and annulus carry a downdate, the shell's
         # curved slip boundary breaks the identity
-        est = kf.korn_constant(mesh_factory(), bc=bc, dense_threshold=0)
+        monkeypatch.setattr(kf, "DENSE_THRESHOLD", 0)
+        est = kf.korn_constant(mesh_factory(), bc=bc)
         assert est.solver == solver
 
     def test_curved_slip_boundary_breaks_identity(self):
@@ -424,7 +425,7 @@ class TestEvaluateFieldRatio:
             np.array([[0.0, -1.0], [1.0, 0.0]]), (len(p), 2, 2)
         )
         with pytest.raises(InfiniteQuotient):
-            kf.evaluate_field_ratio(mesh, u_fn, grad_fn)
+            evaluate_field_ratio(mesh, u_fn, grad_fn)
 
     def test_divfree_bump_quotient_approaches_sqrt2(self):
         # u = rot(psi) with psi = (x(1-x)y(1-y))^2: div u = 0 exactly, so the
@@ -450,12 +451,12 @@ class TestEvaluateFieldRatio:
 
         errors = []
         for m in (8, 16, 32):
-            res = kf.evaluate_field_ratio(unit_square(m), u_fn, grad_fn)
+            res = evaluate_field_ratio(unit_square(m), u_fn, grad_fn)
             errors.append(abs(res["korn_quotient"] - math.sqrt(2.0)))
         assert errors[-1] < 1e-4
         assert errors[-1] < errors[0]
         # the field vanishes on the boundary: tangency residual tiny
-        res = kf.evaluate_field_ratio(unit_square(16), u_fn, grad_fn)
+        res = evaluate_field_ratio(unit_square(16), u_fn, grad_fn)
         assert res["tangency_residual"] < 1e-12
 
 
@@ -520,7 +521,7 @@ class TestBlockKernel:
         rng = np.random.default_rng(0)
         seeds = [kf.dirichlet_constraints(mesh).basis.T @ kf._bump_seed(mesh)]
         seeds += [rng.standard_normal(pencil.n) for _ in range(2)]
-        _, _, iterations, converged = kf._block_top(pencil, seeds, 1e-10, 400)
+        _, _, iterations, converged = kf._block_top(pencil, seeds, 1e-10)
         assert converged
         assert shapes == [(pencil.n, 3)] * iterations
 

@@ -123,7 +123,8 @@ class TestGeneratorsMatchLoops:
     def test_radial_band(self, angular, radial):
         inner = lambda t: 0.5 + 0.1 * np.cos(t)
         outer = lambda t: 1.0 + 0.05 * np.sin(2 * t)
-        mesh = radial_band(inner, outer, angular=angular, radial=radial, center=(0.3, -0.2))
+        mesh = radial_band(inner, outer, angular=angular, radial=radial)
+        mesh = TriMesh(mesh.vertices + (0.3, -0.2), mesh.triangles)
         assert_mesh_equals(mesh, *loop_radial_band(inner, outer, angular, radial, (0.3, -0.2)))
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
@@ -154,7 +155,8 @@ class TestSquare:
 class TestDisk:
     def test_boundary_on_circle_and_radial_normals(self):
         center = np.array([3.0, -1.0])
-        m = disk(3, center=(3.0, -1.0))
+        m = disk(3)
+        m = TriMesh(m.vertices + center, m.triangles)
         m.validate()
         bv = m.boundary_vertices()
         radii = np.linalg.norm(m.vertices[bv] - center, axis=1)
@@ -173,7 +175,8 @@ class TestDisk:
     def test_prolongation_of_affine_field_is_exact_off_projected_midpoints(self, level):
         rng = np.random.default_rng(level)
         M, b = rng.standard_normal((2, 2, 3)), rng.standard_normal((2, 3))
-        coarse, fine = disk(level, center=(0.3, -0.2)), disk(level + 1, center=(0.3, -0.2))
+        coarse, fine = (TriMesh(m.vertices + (0.3, -0.2), m.triangles)
+                        for m in (disk(level), disk(level + 1)))
         got = disk_prolongation(_affine_dofs(coarse.vertices, M, b), coarse)
         err = np.abs(got - _affine_dofs(fine.vertices, M, b)).reshape(-1, 2, 3).max(axis=(1, 2))
         projected = np.zeros(len(fine.vertices), dtype=bool)

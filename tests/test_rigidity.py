@@ -408,7 +408,7 @@ def _oracle_lhs_at(grid, G, theta):
 def _oracle_certificate(grid, G, ghat):
     rhs = float(grid.cell_area
                 * (_oracle_dist_so2_arrays(G[0, 0], G[0, 1], G[1, 0], G[1, 1]) ** 2).sum())
-    theta = mat2.closest_rotation(mat2.Mat2.from_array(G.mean(axis=(-2, -1)))).theta
+    theta = mat2.closest_rotation(G.mean(axis=(-2, -1))).theta
     lhs = _oracle_lhs_at(grid, G, theta)
     return {"curl_residual": _oracle_row_curl_residual(grid, ghat), "optimal_theta": theta,
             "lhs": lhs, "rhs": rhs, "ratio": lhs / (2.0 * rhs)}
