@@ -321,13 +321,11 @@ def cmd_korn(config: dict, values: dict) -> int:
 
 def cmd_rigidity(config: dict, values: dict) -> int:
     from . import rigidity
-    from .gridfield import PeriodicGrid, ScalarField, load_field
+    from .gridfield import PeriodicGrid, load_field
     from .mat2 import Rotation
 
     if "alpha_file" in values:
         alpha = _load(load_field, values["alpha_file"], "alpha file")
-        if not isinstance(alpha, ScalarField):
-            raise ValueError("alpha file must hold a single-component field")
         config["n"], config["box"] = alpha.grid.n, alpha.grid.length
     else:
         gaussian = values["profile"] == "gaussian-bump"

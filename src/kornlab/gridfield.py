@@ -33,7 +33,6 @@ number of threads that run them (:func:`map_strips`).
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -417,43 +416,25 @@ def assert_compact_support(field) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: JSON header plus a flat binary or CSV payload of row-major
-# samples, component blocks in order.
+# Angle-field files: a JSON header plus a flat binary payload of the
+# row-major float64 samples of one scalar field.
 # ---------------------------------------------------------------------------
 
-_FIELD_KINDS = {1: ScalarField, 2: VectorField2, 4: MatrixField2}
-
-
-def save_field(field, path, fmt: str = "bin") -> None:
-    """Write a field as ``path`` (JSON header) plus a sibling payload file."""
+def save_field(field: ScalarField, path) -> None:
+    """Write a scalar field as ``path`` (JSON header) plus a sibling ``.bin``
+    payload."""
     path = Path(path)
-    comps = int(np.prod(field.values.shape[:-2], dtype=int))
-    flat = field.values.reshape(comps, field.grid.n, field.grid.n)
-    if fmt == "bin":
-        data_name = path.stem + ".bin"
-        flat.astype("<f8").tofile(path.with_name(data_name))
-    elif fmt == "csv":
-        data_name = path.stem + ".csv"
-        with open(path.with_name(data_name), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for block in flat:
-                writer.writerows(block.tolist())
-    else:
-        raise ValueError(f"unknown field format {fmt!r}")
-    header = {
-        "n": field.grid.n,
-        "L": field.grid.length,
-        "components": comps,
-        "dtype": "float64",
-        "order": "row-major",
-        "format": fmt,
-        "data": data_name,
-    }
+    data_name = path.stem + ".bin"
+    field.values.astype("<f8").tofile(path.with_name(data_name))
+    header = {"n": field.grid.n, "L": field.grid.length, "components": 1, "dtype": "float64",
+              "order": "row-major", "format": "bin", "data": data_name}
     path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
 
 
-def load_field(path):
-    """Read a field written by :func:`save_field`; kind follows ``components``."""
+def load_field(path) -> ScalarField:
+    """Read a field written by :func:`save_field`; a header value of the
+    wrong JSON kind, other than 1 component or a format other than "bin" is
+    refused by name."""
     path = Path(path)
     header = json.loads(path.read_text())
     if not isinstance(header, dict):
@@ -461,21 +442,17 @@ def load_field(path):
     for key in ("n", "L", "components", "format", "data"):
         if key not in header:
             raise ValueError(f"field header misses required key {key!r}")
-    comps, n = int(header["components"]), int(header["n"])
-    if comps not in _FIELD_KINDS:
-        raise ValueError(f"unsupported component count {comps}")
-    data_path = path.with_name(header["data"])
-    if header["format"] == "bin":
-        raw = np.fromfile(data_path, dtype="<f8")
-    elif header["format"] == "csv":
-        with open(data_path, newline="") as fh:
-            raw = np.array([[float(v) for v in row] for row in csv.reader(fh)])
-        raw = raw.reshape(-1)
-    else:
+    for key, kinds, what in (("n", int, "an integer"), ("L", (int, float), "a number"),
+                             ("components", int, "an integer")):
+        if isinstance(header[key], bool) or not isinstance(header[key], kinds):
+            raise ValueError(f"field header key {key!r} must be {what}, got {header[key]!r}")
+    if header["components"] != 1:
+        raise ValueError(f"unsupported component count {header['components']}")
+    if header["format"] != "bin":
         raise ValueError(f"unknown field format {header['format']!r}")
+    n = header["n"]
+    raw = np.fromfile(path.with_name(header["data"]), dtype="<f8")
     # checked before the grid, whose wavenumber planes are n x (n/2 + 1)
-    if raw.size != comps * n**2:
-        raise ValueError(f"payload holds {raw.size} samples, expected {comps * n ** 2}")
-    grid = PeriodicGrid(n, float(header["L"]))
-    kind = _FIELD_KINDS[comps]
-    return kind(grid, raw.reshape(kind.components + (n, n)))
+    if raw.size != n**2:
+        raise ValueError(f"payload holds {raw.size} samples, expected {n ** 2}")
+    return ScalarField(PeriodicGrid(n, float(header["L"])), raw.reshape(n, n))

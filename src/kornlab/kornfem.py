@@ -539,6 +539,8 @@ def _b_orthonormalize(pencil: _Pencil, V: np.ndarray) -> np.ndarray:
 def _seed_pairs(pencil: _Pencil, coords: np.ndarray, count: int, tol: float):
     """Rayleigh-Ritz on a block of constrained coordinates: its ``count`` pairs,
     sorted descending, if each has |A x - rho B x| <= tol |A x|; else None."""
+    if coords.shape[1] < count:
+        return None
     X = _b_orthonormalize(pencil, pencil.project(coords))
     AX = pencil.apply_A(X)
     V = np.linalg.eigh(X.T @ AX)[1]
@@ -590,22 +592,24 @@ def korn_constant(
 ) -> KornEstimate:
     """Maximize the Korn Rayleigh quotient on the constrained P1 space.
 
-    ``seed``, a full dof vector (2V) such as a prolonged coarse maximizer,
-    is projected onto the constrained space to start the iteration; default
+    ``seed``, a (2V, k) block of full dof vectors with the maximizer first
+    (such as a prolonged coarse top block), is projected onto the
+    constrained space, and its first column starts the iteration; default
     is the interpolated divergence-free bump, which already carries a
-    quotient close to the supremum.  ``EXTRA_PAIRS`` deflated eigenpairs
+    quotient close to the supremum (where it has no B-norm, a random vector
+    from the companions' stream).  ``EXTRA_PAIRS`` deflated eigenpairs
     are computed to report the dimension of the top eigenvalue cluster.
     Pencils with at most ``DENSE_THRESHOLD`` dofs are solved densely.  Raises
     :class:`SolverFailure` when the iteration runs ``MAX_ITER`` steps without
     converging.
 
-    A (2V, k) ``seed`` block, maximizer first, starts the iteration whole on
-    a pencil that deflates a rotation, carrying the maximizer's rotational
-    partner (those disk and annulus meshes are not nested, and no Rayleigh-Ritz
-    check of the block passed there).  Elsewhere it is Rayleigh-Ritz reduced
-    before anything is factored: pairs with relative residuals at most
-    ``100 * tol`` are the result (``solver`` "seed", 0 iterations); otherwise
-    its first column starts the iteration, with random companions.
+    On a pencil that deflates a rotation the whole ``seed`` block starts the
+    iteration, carrying the maximizer's rotational partner (those disk and
+    annulus meshes are not nested, and no Rayleigh-Ritz check of the block
+    passed there).  Elsewhere a full block is Rayleigh-Ritz reduced before
+    anything is factored: pairs with relative residuals at most ``100 * tol``
+    are the result (``solver`` "seed", 0 iterations); otherwise its first
+    column starts the iteration, with random companions.
     """
     if bc not in ("tangential", "dirichlet"):
         raise ValueError(f"unknown boundary condition {bc!r}")
@@ -626,23 +630,22 @@ def korn_constant(
 
     pencil = _Pencil(forms, constraints, rank_one, deflate)
     block = min(1 + EXTRA_PAIRS, pencil.n - (deflate is not None))
+    coords = constraints.basis.T @ (_bump_seed(mesh)[:, None] if seed is None else seed)
     if pencil.n <= DENSE_THRESHOLD:
         (vals, vecs), iterations, converged, solver = _dense_top(pencil, block), 0, True, "dense"
-    elif deflate is None and seed is not None and seed.ndim == 2 and (pairs := _seed_pairs(
-            pencil, constraints.basis.T @ seed, block, 100 * tol)) is not None:
+    elif deflate is None and (pairs := _seed_pairs(pencil, coords, block, 100 * tol)) is not None:
         (vals, vecs), iterations, converged, solver = pairs, 0, True, "seed"
     else:
-        start = _bump_seed(mesh) if seed is None else seed[:, 0] if seed.ndim == 2 else seed
-        start = pencil.project(constraints.basis.T @ start)
-        if float(start @ (pencil.B @ start)) <= 0.0:
-            rng = np.random.default_rng(0)
-            start = pencil.project(rng.standard_normal(pencil.n))
+        # contiguous: project rounds q @ x differently on a strided column
+        start = pencil.project(np.ascontiguousarray(coords[:, 0]))
         rng = np.random.default_rng(0)
+        if float(start @ (pencil.B @ start)) <= 0.0:
+            start = pencil.project(rng.standard_normal(pencil.n))
         companions = [rng.standard_normal(pencil.n) for _ in range(block - 1)]
-        if deflate is not None and seed is not None and seed.ndim == 2:
+        if deflate is not None:
             # the whole block keeps the rotational partner of the maximizer;
             # on the Dirichlet square it ended lower, by about 1e-11
-            companions[:0] = (constraints.basis.T @ seed[:, 1:block]).T
+            companions[:0] = coords[:, 1:block].T
         seeds = [start, *companions[:block - 1]]
         vals, vecs, iterations, converged = _block_top(pencil, seeds, tol)
         solver = "shifted" if pencil.shifted else "symgrad"

@@ -250,26 +250,20 @@ def annulus(
 ) -> TriMesh:
     """Plain circular annulus (constant radii) around the origin."""
     return radial_band(
-        lambda theta: np.full_like(theta, r_inner),
-        lambda theta: np.full_like(theta, r_outer),
+        lambda theta: (np.full_like(theta, r_inner), np.full_like(theta, r_outer)),
         angular=angular,
         radial=radial,
     )
 
 
-def radial_band(
-    inner_fn,
-    outer_fn,
-    angular: int = 64,
-    radial: int = 4,
-) -> TriMesh:
-    """Structured mesh between two star-shaped radius profiles of theta,
-    about the origin."""
+def radial_band(radii, angular: int = 64, radial: int = 4) -> TriMesh:
+    """Structured mesh between two star-shaped radius profiles about the
+    origin; ``radii(theta)`` gives the (inner, outer) radii at the angles
+    ``theta``."""
     if angular < 3 or radial < 1:
         raise MeshValidationError("band mesh needs angular >= 3 and radial >= 1")
     theta = 2.0 * math.pi * np.arange(angular) / angular
-    r_in = np.asarray(inner_fn(theta), dtype=float)
-    r_out = np.asarray(outer_fn(theta), dtype=float)
+    r_in, r_out = (np.asarray(r, dtype=float) for r in radii(theta))
     if np.any(r_in <= 0.0) or np.any(r_out - r_in <= 0.0):
         raise MeshValidationError("band radii must satisfy 0 < inner < outer")
     s = (np.arange(radial + 1) / radial)[:, None]
@@ -348,15 +342,12 @@ def evaluate_field_ratio(mesh: TriMesh, u_fn, grad_fn) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# JSON mesh files: {vertices, triangles, boundary}; normals are recomputed.
+# JSON mesh files: {vertices, triangles}; boundary edges and normals are
+# recomputed.
 # ---------------------------------------------------------------------------
 
 def save_mesh(mesh: TriMesh, path) -> None:
-    payload = {
-        "vertices": mesh.vertices.tolist(),
-        "triangles": mesh.triangles.tolist(),
-        "boundary": mesh.boundary_edges.tolist(),
-    }
+    payload = {"vertices": mesh.vertices.tolist(), "triangles": mesh.triangles.tolist()}
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 

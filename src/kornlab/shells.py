@@ -83,12 +83,7 @@ class ShellSpec:
 
 def shell_mesh(spec: ShellSpec) -> TriMesh:
     """Structured triangulation of the shell between the two profile curves."""
-    return radial_band(
-        lambda theta: spec.radii(theta)[0],
-        lambda theta: spec.radii(theta)[1],
-        angular=spec.angular_resolution,
-        radial=spec.radial_layers,
-    )
+    return radial_band(spec.radii, angular=spec.angular_resolution, radial=spec.radial_layers)
 
 
 def shell_field(spec: ShellSpec):

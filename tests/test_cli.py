@@ -750,10 +750,11 @@ def _alpha_header(tmp_path, **changes):
 
 
 def _vector_field_file(tmp_path):
-    from kornlab.gridfield import VectorField2
-
+    # the header and payload a two-component field would need
     path = tmp_path / "vector.json"
-    save_field(VectorField2(PeriodicGrid(16, 8.0), np.zeros((2, 16, 16))), path)
+    path.write_text(json.dumps({"n": 16, "L": 8.0, "components": 2, "dtype": "float64",
+                                "order": "row-major", "format": "bin", "data": "vector.bin"}))
+    np.zeros((2, 16, 16)).astype("<f8").tofile(tmp_path / "vector.bin")
     return path
 
 
@@ -766,13 +767,15 @@ def _list_config(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["korn", "--config", _list_config], "config file must hold a flat JSON object"),
     (["shell", "--profile", " "], "empty profile ' '"),
-    (["rigidity", "--alpha-file", _vector_field_file],
-     "alpha file must hold a single-component field"),
+    (["rigidity", "--alpha-file", _vector_field_file], "unsupported component count 2"),
     (["rigidity", "--alpha-file", lambda d: _alpha_header(d, components=3)],
      "unsupported component count 3"),
     (["rigidity", "--alpha-file", lambda d: _alpha_header(d, format="xml")],
      "unknown field format 'xml'"),
-], ids=["config-list", "blank-profile", "vector-alpha", "three-components", "xml-format"])
+    (["rigidity", "--alpha-file", lambda d: _alpha_header(d, n=16.7)],
+     "field header key 'n' must be an integer, got 16.7"),
+], ids=["config-list", "blank-profile", "vector-alpha", "three-components", "xml-format",
+        "fractional-n"])
 def test_refusal_names_its_defect(tmp_path, capsys, argv, message):
     argv = [str(item(tmp_path)) if callable(item) else item for item in argv]
     assert run(argv) == 2

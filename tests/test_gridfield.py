@@ -381,27 +381,48 @@ class TestStripSums:
         assert sorted(runs) == sorted(list(range(0, n, 8)) * 20)
 
 class TestSerialization:
-    @pytest.mark.parametrize("fmt", ["bin", "csv"])
-    def test_roundtrip_vector(self, tmp_path, fmt):
+    def test_roundtrip_scalar(self, tmp_path):
         grid = PeriodicGrid(32, 5.0)
-        u = bump_field(grid, seed=4)
+        s = ScalarField(grid, bump_field(grid, seed=4).values[0])
         path = tmp_path / "field.json"
-        save_field(u, path, fmt=fmt)
+        save_field(s, path)
+        assert path.read_text() == (
+            '{\n  "L": 5.0,\n  "components": 1,\n  "data": "field.bin",\n  "dtype": "float64",'
+            '\n  "format": "bin",\n  "n": 32,\n  "order": "row-major"\n}\n')
+        assert (tmp_path / "field.bin").read_bytes() == s.values.astype("<f8").tobytes()
         back = load_field(path)
-        assert isinstance(back, VectorField2)
+        assert isinstance(back, ScalarField)
         assert back.grid == grid
-        np.testing.assert_allclose(back.values, u.values, atol=0 if fmt == "bin" else 1e-15)
+        np.testing.assert_array_equal(back.values, s.values)
 
-    def test_roundtrip_scalar_and_matrix(self, tmp_path):
-        grid = PeriodicGrid(16, 3.0)
-        s = ScalarField.from_function(grid, bump(0, 0, 0.4))
-        save_field(s, tmp_path / "s.json")
-        assert isinstance(load_field(tmp_path / "s.json"), ScalarField)
-        m = MatrixField2.constant(grid, np.array([[1.0, 2.0], [3.0, 4.0]]))
-        save_field(m, tmp_path / "m.json")
-        back = load_field(tmp_path / "m.json")
-        assert isinstance(back, MatrixField2)
-        np.testing.assert_array_equal(back.values, m.values)
+    @pytest.mark.parametrize("key, value, message", [
+        ("components", 2, "unsupported component count 2"),
+        ("format", "csv", "unknown field format 'csv'"),
+        ("n", 16.7, "field header key 'n' must be an integer, got 16.7"),
+        ("n", 16.0, "field header key 'n' must be an integer, got 16.0"),
+        ("n", "16", "field header key 'n' must be an integer, got '16'"),
+        ("n", True, "field header key 'n' must be an integer, got True"),
+        ("L", True, "field header key 'L' must be a number, got True"),
+        ("L", "8", "field header key 'L' must be a number, got '8'"),
+        ("components", True, "field header key 'components' must be an integer, got True"),
+        ("components", 1.0, "field header key 'components' must be an integer, got 1.0"),
+    ], ids=["two-components", "csv-format", "fractional-n", "float-n", "string-n", "bool-n",
+            "bool-L", "string-L", "bool-components", "float-components"])
+    def test_header_value_refused_by_key(self, tmp_path, key, value, message):
+        # only a scalar binary field is read, and a value of the wrong JSON
+        # kind is refused, not truncated or read as 1
+        path = tmp_path / "s.json"
+        save_field(ScalarField(PeriodicGrid(16, 8.0), np.zeros((16, 16))), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        with pytest.raises(ValueError) as info:
+            load_field(path)
+        assert str(info.value) == message
+
+    def test_integer_box_length_is_a_number(self, tmp_path):
+        path = tmp_path / "s.json"
+        save_field(ScalarField(PeriodicGrid(16, 8.0), np.zeros((16, 16))), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "L": 8}))
+        assert load_field(path).grid == PeriodicGrid(16, 8.0)
 
     def test_header_validation(self, tmp_path):
         path = tmp_path / "bad.json"

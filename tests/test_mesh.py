@@ -123,7 +123,7 @@ class TestGeneratorsMatchLoops:
     def test_radial_band(self, angular, radial):
         inner = lambda t: 0.5 + 0.1 * np.cos(t)
         outer = lambda t: 1.0 + 0.05 * np.sin(2 * t)
-        mesh = radial_band(inner, outer, angular=angular, radial=radial)
+        mesh = radial_band(lambda t: (inner(t), outer(t)), angular=angular, radial=radial)
         mesh = TriMesh(mesh.vertices + (0.3, -0.2), mesh.triangles)
         assert_mesh_equals(mesh, *loop_radial_band(inner, outer, angular, radial, (0.3, -0.2)))
 

@@ -172,7 +172,7 @@ def test_korn_estimate_dominates_explicit_field():
     uv = u_fn(mesh.vertices)
     full[0::2] = uv[:, 0]
     full[1::2] = uv[:, 1]
-    est = kf.korn_constant(mesh, bc="tangential", seed=full)
+    est = kf.korn_constant(mesh, bc="tangential", seed=full[:, None])
     assert est.kappa_sq >= res["korn_quotient"] ** 2 * 0.98
 
 
