@@ -422,7 +422,9 @@ def assert_compact_support(field) -> None:
 
 def save_field(field: ScalarField, path) -> None:
     """Write a scalar field as ``path`` (JSON header) plus a sibling ``.bin``
-    payload."""
+    payload; any other field is refused before a byte is written."""
+    if not isinstance(field, ScalarField):
+        raise TypeError(f"only a scalar field is written, got {type(field).__name__}")
     path = Path(path)
     data_name = path.stem + ".bin"
     field.values.astype("<f8").tofile(path.with_name(data_name))

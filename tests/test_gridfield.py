@@ -395,6 +395,33 @@ class TestSerialization:
         assert back.grid == grid
         np.testing.assert_array_equal(back.values, s.values)
 
+    @pytest.mark.parametrize("fmt", ["bin"])
+    def test_roundtrip_vector(self, tmp_path, fmt):
+        # a vector field travels as one scalar file per component
+        grid = PeriodicGrid(32, 5.0)
+        u = bump_field(grid, seed=4)
+        for i, comp in enumerate(u.values):
+            save_field(ScalarField(grid, comp), tmp_path / f"u{i}.json")
+            assert json.loads((tmp_path / f"u{i}.json").read_text())["format"] == fmt
+        back = VectorField2(grid, [load_field(tmp_path / f"u{i}.json").values for i in range(2)])
+        assert back.grid == grid
+        np.testing.assert_array_equal(back.values, u.values)
+        with pytest.raises(TypeError, match="got VectorField2"):
+            save_field(u, tmp_path / "u.json")
+
+    def test_roundtrip_scalar_and_matrix(self, tmp_path):
+        grid = PeriodicGrid(16, 3.0)
+        s = ScalarField.from_function(grid, bump(0, 0, 0.4))
+        save_field(s, tmp_path / "s.json")
+        back = load_field(tmp_path / "s.json")
+        assert isinstance(back, ScalarField)
+        np.testing.assert_array_equal(back.values, s.values)
+        # a matrix field is refused before its header or payload is written
+        m = MatrixField2.constant(grid, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        with pytest.raises(TypeError, match="only a scalar field is written, got MatrixField2"):
+            save_field(m, tmp_path / "m.json")
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["s.bin", "s.json"]
+
     @pytest.mark.parametrize("key, value, message", [
         ("components", 2, "unsupported component count 2"),
         ("format", "csv", "unknown field format 'csv'"),
