@@ -281,10 +281,12 @@ def _coeff_map(terms, part: str) -> dict[int, float]:
     """The ``part`` ("cos" or "sin") of a coeffs file as {wavenumber: coefficient}."""
     if not isinstance(terms, dict):
         raise ValueError(f"coeffs file: {part!r} must be an object {{k: c}}, got {terms!r}")
-    try:
-        return {int(k): float(c) for k, c in terms.items()}
-    except TypeError as exc:
-        raise ValueError(f"coeffs file: {part!r} coefficients must be numbers: {exc}") from None
+    for k, c in terms.items():
+        # JSON booleans are ints to Python, and NaN passes every range check
+        if isinstance(c, bool) or not isinstance(c, (int, float)) or not math.isfinite(c):
+            raise ValueError(f"coeffs file: {part!r} coefficients must be numbers and "
+                             f"finite, got {c!r} for {k!r}")
+    return {int(k): float(c) for k, c in terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +351,8 @@ def cmd_shell(config: dict, values: dict) -> int:
         raw = _load(_read_json, values["coeffs"], "coeffs file")
         if not isinstance(raw, dict):
             raise ValueError("coeffs file must hold a JSON object {cos: {k: c}, sin: {k: c}}")
+        if unknown := sorted(set(raw) - {"cos", "sin"}):
+            raise ValueError(f"coeffs file: unknown parts {unknown}; the parts are 'cos' and 'sin'")
         cos_coeffs, sin_coeffs = (_coeff_map(raw.get(part, {}), part) for part in ("cos", "sin"))
     elif "profile" in values:
         cos_coeffs, sin_coeffs = parse_profile(values["profile"])

@@ -12,11 +12,12 @@ value is the Rayleigh quotient of an explicit admissible discrete field and
 therefore a certified lower bound for the discrete maximum, which in turn
 bounds the domain's Korn constant squared from below.
 
-Element matrices use one-point quadrature, which is exact for P1: all three
-quadratic forms have piecewise-constant integrands.  In particular the
-null-Lagrangian matrix identity 2B = A + C holds to machine precision on
-Dirichlet-constrained degrees of freedom (and on slip dofs of straight-edged
-domains with pinned corners).
+Every form comes from one sparse element-gradient operator: per triangle
+the four entries of grad u, constant for P1, scaled by sqrt(area).  On the
+constrained space A, B and the div-div form C are Gram products of its
+rows, of its strain rows and of its div row.  The null-Lagrangian identity
+2B = A + C holds to machine precision on Dirichlet-constrained degrees of
+freedom (and on slip dofs of straight-edged domains with pinned corners).
 
 The eigen iteration is preconditioned in one of two ways, chosen from the
 pencil itself.  A pencil is *certified* when it has no rank-one curl term,
@@ -37,9 +38,7 @@ the rest of B is factored as a definite form.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,8 +61,8 @@ CLUSTER_WIDTH = 1e-6
 #: Eigenpairs computed below the top one, to report the top cluster's dimension.
 EXTRA_PAIRS = 2
 
-#: Relative bound on the null-Lagrangian gap Z^T (2 symgrad - grad - divdiv) Z
-#: under which a pencil is certified for the shifted preconditioner.
+#: Relative bound on the null-Lagrangian gap 2B - A - C on the constrained
+#: space under which a pencil is certified for the shifted preconditioner.
 IDENTITY_TOL = 1e-13
 
 #: Relative distance of the preconditioner shift above 2: sigma = 2 (1 + delta).
@@ -87,24 +86,16 @@ DENSE_THRESHOLD = 200
 
 @dataclass
 class AssembledForms:
-    """Sparse quadratic forms on the full vector P1 space (dof = 2*vertex+comp).
+    """The element-gradient operator of the vector P1 space (dof = 2*vertex+comp).
 
-    grad:   integral of grad u : grad v
-    symgrad: integral of D(u) : D(v)
-    divdiv: integral of (div u)(div v), built on first read: only
-            :func:`null_lagrangian_gap` needs it, and rotational pencils never
-            measure the gap
+    operator: sparse (4T, 2V); rows 4t .. 4t+3 map u to sqrt(area_t) times
+              (d1 u1, d2 u1, d1 u2, d2 u2) on triangle t, so that every form
+              is a Gram product of its rows (:func:`_constrained_rows`)
     """
 
-    grad: sp.csr_matrix
-    symgrad: sp.csr_matrix
+    operator: sp.csr_matrix
     area: float
     curl_vec: np.ndarray  # linear functional u -> integral of (d1 u2 - d2 u1)
-    _build_divdiv: Callable[[], sp.csr_matrix]
-
-    @cached_property
-    def divdiv(self) -> sp.csr_matrix:
-        return self._build_divdiv()
 
 
 def _shape_gradients(mesh: TriMesh):
@@ -128,69 +119,45 @@ def _shape_gradients(mesh: TriMesh):
 
 def assemble(mesh: TriMesh) -> AssembledForms:
     grads, areas = _shape_gradients(mesh)
-    T = len(mesh.triangles)
-
-    # Local dof order: (vertex 0..2) x (component 0..1) -> 6 dofs.
-    # grad u : grad v  ->  delta_cd * (G_i . G_j)
-    gg = np.einsum("tia,tja->tij", grads, grads)  # (T, 3, 3)
-    A_loc = np.zeros((T, 6, 6))
-    S_loc = np.zeros((T, 6, 6))  # integral of grad u : (grad v)^T
-    for c in range(2):
-        for d in range(2):
-            block = np.s_[:, c::2, d::2]  # local dofs (i, c) x (j, d)
-            if c == d:
-                A_loc[block] += gg
-            S_loc[block] += np.einsum("ti,tj->tij", grads[:, :, d], grads[:, :, c])
-    A_loc *= areas[:, None, None]
-    S_loc *= areas[:, None, None]
-    B_loc = 0.5 * (A_loc + S_loc)
-
-    dof = np.empty((T, 6), dtype=np.int64)
-    for i in range(3):
-        for c in range(2):
-            dof[:, 2 * i + c] = 2 * mesh.triangles[:, i] + c
-    rows = np.repeat(dof, 6, axis=1).ravel()
-    cols = np.tile(dof, (1, 6)).ravel()
-    ndof = 2 * len(mesh.vertices)
-
-    def build(local):
-        m = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(ndof, ndof))
-        return m.tocsr()
-
-    def build_divdiv():
-        # div u div v -> (G_i)_c (G_j)_d on local dofs (i, c) x (j, d), whose
-        # index 2 i + c is that of the flattened (3, 2) gradients
-        flat = grads.reshape(T, 6)
-        return build(np.einsum("ti,tj->tij", flat, flat) * areas[:, None, None])
-
+    T, root = len(mesh.triangles), np.sqrt(areas)
+    # Row 4t + 2c + a holds sqrt(area) d_a u_c: entries sqrt(area) (G_i)_a at
+    # the dofs 2 v_i + c of the triangle's three vertices v_i.
+    data = np.tile((root[:, None, None] * grads).transpose(0, 2, 1), (1, 2, 1))
+    cols = np.repeat(2 * mesh.triangles[:, None, :] + np.arange(2)[:, None], 2, axis=1)
+    op = sp.csr_matrix((data.ravel(), cols.ravel(), np.arange(0, 12 * T + 1, 3)),
+                       shape=(4 * T, 2 * len(mesh.vertices)))
     # Curl functional: integral of (d1 u2 - d2 u1).
-    curl = np.zeros(ndof)
-    np.add.at(curl, 2 * mesh.triangles + 1, areas[:, None] * grads[:, :, 0])
-    np.add.at(curl, 2 * mesh.triangles, -areas[:, None] * grads[:, :, 1])
+    return AssembledForms(op, float(areas.sum()), (op[2::4] - op[1::4]).T @ root)
 
-    return AssembledForms(
-        grad=build(A_loc),
-        symgrad=build(B_loc),
-        area=float(areas.sum()),
-        curl_vec=curl,
-        _build_divdiv=build_divdiv,
-    )
+
+def _constrained_rows(forms: AssembledForms, basis: sp.spmatrix):
+    """The operator's rows on the constrained space, G_Z = G Z, and from
+    them by slicing the strain rows E_Z (e11, e22, sqrt2 e12) and the div
+    rows D_Z: A = G_Z^T G_Z, B = E_Z^T E_Z and C = D_Z^T D_Z."""
+    GZ = forms.operator @ basis
+    E = sp.vstack([GZ[0::4], GZ[3::4], (GZ[1::4] + GZ[2::4]) / math.sqrt(2.0)], format="csr")
+    return GZ, E, GZ[0::4] + GZ[3::4]
+
+
+def _gram(M: sp.csr_matrix) -> sp.csr_matrix:
+    return M.T.tocsr() @ M
+
+
+def _gap(A: sp.csr_matrix, B: sp.csr_matrix, D: sp.csr_matrix) -> float:
+    scale = abs(A).max()
+    return float(abs(2.0 * B - A - _gram(D)).max() / scale) if scale > 0.0 else 0.0
 
 
 def null_lagrangian_gap(forms: AssembledForms, basis: sp.spmatrix) -> float:
-    """Largest entry of Z^T (2 symgrad - grad - divdiv) Z relative to the
-    largest entry of Z^T grad Z, for the constrained basis Z.
+    """Largest entry of 2B - A - C on the constrained basis Z, relative to
+    the largest entry of A, all three Gram products of the rows of G Z.
 
     The null-Lagrangian identity makes this roundoff on Dirichlet dofs; a
     curved slip boundary leaves a gap far above it (about 5e-3 on the stock
     disk, annulus and shell meshes).
     """
-    Zt = basis.T.tocsr()
-    # The full-space sum cancels to roundoff away from the boundary and
-    # scipy drops its exact zeros, so projecting it is cheap.
-    gap = Zt @ (2.0 * forms.symgrad - forms.grad - forms.divdiv) @ basis
-    scale = abs(Zt @ forms.grad @ basis).max()
-    return float(abs(gap).max() / scale) if scale > 0.0 else 0.0
+    GZ, E, D = _constrained_rows(forms, basis)
+    return _gap(_gram(GZ), _gram(E), D)
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +325,14 @@ class _Pencil:
     def __init__(self, forms: AssembledForms, constraints: ConstraintSet,
                  rank_one: np.ndarray | None, deflate: np.ndarray | None):
         Z = constraints.basis
-        Zt = Z.T.tocsr()  # a CSR left factor halves the cost of the products
-        self.A = (Zt @ forms.grad @ Z).tocsr()
-        self.B = (Zt @ forms.symgrad @ Z).tocsr()
-        self.ell = None if rank_one is None else Zt @ rank_one
+        GZ, self.E, D = _constrained_rows(forms, Z)  # B = E^T E
+        self.A, self.B = _gram(GZ), _gram(self.E)
+        self.ell = None if rank_one is None else Z.T @ rank_one
         self.scale = 2.0 * forms.area
         self.deflate = deflate  # unit direction excluded from trials, or None
         self.n = Z.shape[1]
         self.shifted = (rank_one is None and deflate is None
-                        and null_lagrangian_gap(forms, Z) <= IDENTITY_TOL)
+                        and _gap(self.A, self.B, D) <= IDENTITY_TOL)
         self._solve = None
         self._M = None  # operator that the first solve's residual is measured with
 
@@ -514,13 +480,17 @@ def _b_orthonormalize(pencil: _Pencil, V: np.ndarray) -> np.ndarray:
     """Gram-Schmidt in the B inner product, in column order, dropping columns
     of B-norm at most 1e-10 after projection onto the kept earlier ones.
 
-    Two passes on the Gram matrix V^T B V of one block product (CholQR2):
-    the second re-measures what the first cannot resolve (norms below about
-    1e-8 of a column's own); the drop rule tests the product of both norms.
+    Two passes on the Gram matrix (E V)^T (E V) of the strain rows, B = E^T E
+    (CholQR2): the second re-measures what the first cannot resolve (norms
+    below about 1e-8 of a column's own); the drop rule tests the product of
+    both norms.  V^T (B V) cancels terms of size |B| |V|^2 down to the strain
+    energy, which lost the thin shells' digits and stalled their iteration;
+    the strain rows cancel per triangle, before squaring.
     """
     norms = np.ones(V.shape[1])  # B-norm each column stood for so far
     for _ in range(2):
-        G = V.T @ pencil.apply_B(V)
+        EV = pencil.E @ V
+        G = EV.T @ EV
         C = np.eye(len(G))  # column j: coefficients of column j's residual
         keep, kept = [], []
         for j in range(len(G)):

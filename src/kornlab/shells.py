@@ -45,7 +45,7 @@ class ShellSpec:
             raise MeshValidationError("shell resolution too coarse")
         theta = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
         g = self.profile(theta)
-        if g.min() <= 0.0 or g.max() >= 1.0 / 3.0:
+        if not np.isfinite(g).all() or g.min() <= 0.0 or g.max() >= 1.0 / 3.0:
             raise MeshValidationError(
                 f"profile range [{g.min():.4f}, {g.max():.4f}] leaves (0, 1/3)"
             )

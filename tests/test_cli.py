@@ -352,7 +352,14 @@ def test_bow_tie_mesh_file_names_vertex(tmp_path, capsys):
     ({"cos": {"0": 0.2}, "sin": 3}, "'sin' must be an object"),
     ({"cos": {"0": [0.2]}}, "'cos' coefficients must be numbers"),
     ({"cos": {"0": 0.2, "3": None}}, "'cos' coefficients must be numbers"),
-], ids=["not-an-object", "cos-list", "sin-number", "list-coefficient", "null-coefficient"])
+    # these used to exit 4 ("non-finite number"), or to run on 0.0, on the
+    # parsed string, or without the misspelt part
+    ({"cos": {"0": float("nan"), "3": 0.05}}, "got nan for '0'"),
+    ({"cos": {"0": 0.2, "3": False}}, "got False for '3'"),
+    ({"cos": {"0": 0.2, "3": "0.05"}}, "got '0.05' for '3'"),
+    ({"cos": {"0": 0.2}, "sn": {"1": 0.01}}, "unknown parts ['sn']"),
+], ids=["not-an-object", "cos-list", "sin-number", "list-coefficient", "null-coefficient",
+        "nan", "false", "string", "unknown-part"])
 def test_malformed_coeffs_file_names_defect(tmp_path, capsys, payload, message):
     path = tmp_path / "coeffs.json"
     path.write_text(json.dumps(payload))

@@ -31,6 +31,11 @@ class TestShellSpec:
         with pytest.raises(MeshValidationError):
             ShellSpec(cos_coeffs={0: 0.2, 3: 0.25})
 
+    def test_rejects_nan_profile(self):
+        # a NaN profile fails every comparison, so the range check alone passed it
+        with pytest.raises(MeshValidationError, match="leaves"):
+            ShellSpec(cos_coeffs={0: 0.2, 3: math.nan})
+
     def test_constant_radii_example(self):
         # g = 0.2, h = 0.1: inner radius 1 + h g - h = 0.92, outer 1.02
         spec = ShellSpec(cos_coeffs={0: 0.2}, h=0.1)
