@@ -25,6 +25,7 @@ import json
 import math
 import os
 import re
+import reprlib
 import sys
 import time
 from pathlib import Path
@@ -55,7 +56,7 @@ def _apply_thread_cap() -> None:
             os.environ.setdefault(var, cap)
 
 
-def _report_envelope(command: str, config: dict, result: dict) -> dict:
+def _report_envelope(command: str, config: dict, result) -> dict:
     from . import __version__
 
     return {
@@ -67,9 +68,21 @@ def _report_envelope(command: str, config: dict, result: dict) -> dict:
     }
 
 
+def _encode(obj):
+    """The JSON form of a value ``json`` cannot write: a result dataclass as
+    its fields, less those whose names start with "_", and an array as a list."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+                if not f.name.startswith("_")}
+    if hasattr(obj, "tolist"):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _write_report(path: str | None, payload: dict) -> None:
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                          default=_encode) + "\n"
     except ValueError as exc:  # nan or infinity, which JSON cannot hold
         raise SolverFailure(f"the result holds a non-finite number ({exc})") from None
     if path:
@@ -285,7 +298,12 @@ def _coeff_map(terms, part: str) -> dict[int, float]:
         # JSON booleans are ints to Python, and NaN passes every range check
         if isinstance(c, bool) or not isinstance(c, (int, float)) or not math.isfinite(c):
             raise ValueError(f"coeffs file: {part!r} coefficients must be numbers and "
-                             f"finite, got {c!r} for {k!r}")
+                             f"finite, got {c!r} for {reprlib.repr(k)}")
+        # int() also takes spaces, "1_0" and other scripts' digits; past 308
+        # digits k is beyond float range, which the profile's k * theta needs
+        if re.fullmatch(r"[+-]?[0-9]{1,308}", k) is None:
+            raise ValueError(f"coeffs file: {part!r} wavenumbers must be decimal integers "
+                             f"of at most 308 digits, got {reprlib.repr(k)}")
     return {int(k): float(c) for k, c in terms.items()}
 
 
@@ -310,8 +328,10 @@ def cmd_korn(config: dict, values: dict) -> int:
     # sequence must not decrease; elsewhere monotonicity is not expected.
     nested = values.get("domain") == "square"
     monotone = all(b >= a - 1e-12 * max(1.0, abs(a)) for a, b in zip(seq, seq[1:]))
+    if values["store_maximizer"]:
+        estimates = [_encode(est) | {"maximizer": est.maximizer} for est in estimates]
     result = {
-        "levels": [est.to_dict(include_maximizer=values["store_maximizer"]) for est in estimates],
+        "levels": estimates,
         "kappa_sq_sequence": seq,
         "kappa_sq_final": seq[-1],
         "nested": nested,
@@ -338,8 +358,7 @@ def cmd_rigidity(config: dict, values: dict) -> int:
         alpha = bump(grid, values["amplitude"], values["width"], *center)
 
     _, report = rigidity.synthesize_extremal(alpha, Rotation(values["r0"]))
-    _write_report(values.get("report"),
-                  _report_envelope("rigidity", config, report.to_dict()))
+    _write_report(values.get("report"), _report_envelope("rigidity", config, report))
     return EXIT_OK
 
 
@@ -374,8 +393,7 @@ def cmd_shell(config: dict, values: dict) -> int:
             writer = csv.writer(fh)
             writer.writerow([f.name for f in dataclasses.fields(BlowupRow)])
             writer.writerows(dataclasses.astuple(row) for row in table.rows)
-    _write_report(values.get("report"),
-                  _report_envelope("shell", config, table.to_dict()))
+    _write_report(values.get("report"), _report_envelope("shell", config, table))
     return EXIT_OK
 
 

@@ -38,6 +38,7 @@ import json
 import math
 import queue
 from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -129,19 +130,22 @@ def tree_sum(parts) -> np.ndarray:
     return parts[0]
 
 
+@dataclass
 class PeriodicGrid:
     """Uniform periodic grid on the centered square of side ``length``; it
     keeps broadcastable axes (``x`` (n, 1), ``y`` (1, n), ``dkx``, ``dky``)
     and (n, n/2 + 1) wavenumber planes, never an n x n plane."""
 
-    def __init__(self, n: int, length: float):
-        n = int(n)
+    n: int
+    length: float
+
+    def __post_init__(self):
+        self.n = n = int(self.n)
         if n < 4 or (n & (n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 4, got {n}")
-        if not (length > 0.0) or not math.isfinite(length):
-            raise ValueError(f"box length must be positive and finite, got {length}")
-        self.n = n
-        self.length = float(length)
+        if not (self.length > 0.0) or not math.isfinite(self.length):
+            raise ValueError(f"box length must be positive and finite, got {self.length}")
+        self.length = float(self.length)
         self.spacing = self.length / n
 
         coords1d = self.spacing * np.arange(n) - self.length / 2.0
@@ -175,19 +179,6 @@ class PeriodicGrid:
         weighted = 2.0 * total
         weighted -= first.sum(axis=-1) + last.sum(axis=-1)
         return self.cell_area * weighted / self.n**2
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PeriodicGrid)
-            and self.n == other.n
-            and self.length == other.length
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.length))
-
-    def __repr__(self):
-        return f"PeriodicGrid(n={self.n}, length={self.length})"
 
 
 class _Field:
@@ -256,11 +247,6 @@ class VectorField2(_Field):
 
 class MatrixField2(_Field):
     components = (2, 2)
-
-    @classmethod
-    def constant(cls, grid: PeriodicGrid, matrix) -> "MatrixField2":
-        m = np.asarray(matrix, dtype=float)
-        return cls(grid, np.broadcast_to(m[:, :, None, None], (2, 2, grid.n, grid.n)).copy())
 
     def det_values(self) -> np.ndarray:
         v = self.values

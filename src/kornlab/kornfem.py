@@ -245,13 +245,6 @@ class LOmegaInfo:
     residual: float                # normalized boundary misfit
     center: np.ndarray | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "residual": self.residual,
-            "center": None if self.center is None else self.center.tolist(),
-        }
-
 
 def detect_L_omega(mesh: TriMesh) -> LOmegaInfo:
     """Least-squares fit of a rotation center to the boundary.
@@ -289,7 +282,6 @@ def detect_L_omega(mesh: TriMesh) -> LOmegaInfo:
 @dataclass
 class KornEstimate:
     kappa_sq: float
-    maximizer: np.ndarray          # full dof vector (2V), admissible
     eig_residual: float
     top_eigenspace_dim: int
     dof_count: int
@@ -297,22 +289,12 @@ class KornEstimate:
     l_omega: LOmegaInfo
     deflated_rotation: bool
     solver: str                    # "dense" | "seed" | "shifted" | "symgrad"
-    _top_block: np.ndarray | None = None  # full dofs (2V x k), maximizer first; unreported
+    _top_block: np.ndarray         # full dofs (2V x k), maximizer first; unreported
 
-    def to_dict(self, include_maximizer: bool = False) -> dict:
-        out = {
-            "kappa_sq": self.kappa_sq,
-            "solver": self.solver,
-            "eig_residual": self.eig_residual,
-            "top_eigenspace_dim": self.top_eigenspace_dim,
-            "dof_count": self.dof_count,
-            "iterations": self.iterations,
-            "l_omega": self.l_omega.to_dict(),
-            "deflated_rotation": self.deflated_rotation,
-        }
-        if include_maximizer:
-            out["maximizer"] = self.maximizer.tolist()
-        return out
+    @property
+    def maximizer(self) -> np.ndarray:
+        """Full dof vector (2V), admissible."""
+        return self._top_block[:, 0]
 
 
 class _Pencil:
@@ -631,11 +613,8 @@ def korn_constant(
             f"eigen iteration did not converge: {pencil.n} dofs, {iterations} "
             f"iterations (MAX_ITER), relative residual {resid:.3e}"
         )
-    maximizer = constraints.basis @ vec
-
     return KornEstimate(
         kappa_sq=float(top),
-        maximizer=maximizer,
         eig_residual=float(resid),
         top_eigenspace_dim=int(dim),
         dof_count=pencil.n,

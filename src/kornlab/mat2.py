@@ -34,6 +34,11 @@ DEGENERACY_EPS = 1e-12
 #: = (|F^c|^2 - |F^a|^2) / 2.
 DET_SPLIT_CONSTANT = 0.5
 
+#: Angles of the brute-force oracle's first scan, and the times it then
+#: shrinks the bracket around the best angle.
+BRUTE_COARSE = 1024
+BRUTE_ROUNDS = 9
+
 
 @dataclass(frozen=True)
 class Rotation:
@@ -97,13 +102,14 @@ def dist_so2_arrays(m11, m12, m21, m22):
     return np.sqrt(2.0 * (r_c - 1.0) ** 2 + 2.0 * (a_a**2 + a_b**2))
 
 
-def dist_so2_bruteforce(m11, m12, m21, m22, coarse: int = 1024, rounds: int = 9):
+def dist_so2_bruteforce(m11, m12, m21, m22):
     """Distance to SO(2) by direct minimization of |F - R(theta)| over theta.
 
-    Independent of the closed form: scans a coarse angle grid, then shrinks
-    the bracket around the best angle ``rounds`` times.  Final bracket width
-    is 2*pi * (4/32)^rounds, far below 1e-8, so the value error is limited
-    by the curvature of the objective, well under 1e-9 for moderate inputs.
+    Independent of the closed form: scans ``BRUTE_COARSE`` angles, then
+    shrinks the bracket around the best angle ``BRUTE_ROUNDS`` times.  Final
+    bracket width is 2*pi/1024 * (4/32)^9, far below 1e-8, so the value error
+    is limited by the curvature of the objective, well under 1e-9 for
+    moderate inputs.
 
     |F - R|^2 = |F|^2 + 2 - 2 (p cos(theta) + q sin(theta)) with
     p = m11 + m22 and q = m21 - m12; only this trigonometric evaluation is
@@ -117,13 +123,13 @@ def dist_so2_bruteforce(m11, m12, m21, m22, coarse: int = 1024, rounds: int = 9)
     p = (m11 + m22).ravel()
     q = (m21 - m12).ravel()
 
-    theta = np.linspace(0.0, TWO_PI, coarse, endpoint=False)
+    theta = np.linspace(0.0, TWO_PI, BRUTE_COARSE, endpoint=False)
     proj = np.outer(p, np.cos(theta)) + np.outer(q, np.sin(theta))
     best = theta[np.argmax(proj, axis=1)]
-    width = TWO_PI / coarse
+    width = TWO_PI / BRUTE_COARSE
 
     local = np.linspace(-2.0, 2.0, 33)
-    for _ in range(rounds):
+    for _ in range(BRUTE_ROUNDS):
         angles = best[:, None] + width * local[None, :]
         proj = p[:, None] * np.cos(angles) + q[:, None] * np.sin(angles)
         best = angles[np.arange(angles.shape[0]), np.argmax(proj, axis=1)]

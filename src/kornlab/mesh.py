@@ -346,11 +346,6 @@ def evaluate_field_ratio(mesh: TriMesh, u_fn, grad_fn) -> dict:
 # recomputed.
 # ---------------------------------------------------------------------------
 
-def save_mesh(mesh: TriMesh, path) -> None:
-    payload = {"vertices": mesh.vertices.tolist(), "triangles": mesh.triangles.tolist()}
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
-
-
 def load_mesh(path) -> TriMesh:
     try:
         payload = json.loads(Path(path).read_text())

@@ -64,9 +64,6 @@ class ExtremalReport:
     lhs_at_theta0: float | None = None   # integral of |G - R(theta0)|^2
     ratio_at_theta0: float | None = None
 
-    def to_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items()}
-
 
 @dataclass
 class ExtremalField:

@@ -47,7 +47,7 @@ class ShellSpec:
         g = self.profile(theta)
         if not np.isfinite(g).all() or g.min() <= 0.0 or g.max() >= 1.0 / 3.0:
             raise MeshValidationError(
-                f"profile range [{g.min():.4f}, {g.max():.4f}] leaves (0, 1/3)"
+                f"profile range [{g.min():.4g}, {g.max():.4g}] leaves (0, 1/3)"
             )
 
     def profile(self, theta, order: int = 0):
@@ -144,12 +144,6 @@ class BlowupRow:
 class BlowupTable:
     rows: list[BlowupRow]
     slope: float | None  # log-log slope of ratio vs h; None below 2 rows
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [row.__dict__ for row in self.rows],
-            "slope": self.slope,
-        }
 
 
 def blowup_experiment(spec: ShellSpec, h_list: list[float]) -> BlowupTable:

@@ -17,6 +17,8 @@ from kornlab import cli
 from kornlab.cli import main, parse_profile
 from kornlab.gridfield import PeriodicGrid, ScalarField, save_field
 
+from helpers import save_mesh
+
 
 def run(argv, capsys=None):
     code = main(argv)
@@ -107,7 +109,7 @@ class TestKornCommand:
     def test_rotational_mesh_file_off_the_origin(self, tmp_path):
         # the rotation is deflated about the fitted centre, not the origin
         from kornlab.kornfem import korn_constant
-        from kornlab.mesh import TriMesh, disk, save_mesh
+        from kornlab.mesh import TriMesh, disk
 
         mesh_path, report = tmp_path / "disk.json", tmp_path / "report.json"
         mesh = disk(4)
@@ -128,7 +130,7 @@ class TestKornCommand:
         assert "area" in capsys.readouterr().err
 
     def test_mesh_file_path(self, tmp_path):
-        from kornlab.mesh import save_mesh, unit_square
+        from kornlab.mesh import unit_square
 
         mesh_path = tmp_path / "mesh.json"
         save_mesh(unit_square(4), mesh_path)
@@ -139,7 +141,7 @@ class TestKornCommand:
         assert len(result["levels"]) == 1
 
     def test_nested_flag_gates_monotonicity(self, tmp_path):
-        from kornlab.mesh import save_mesh, unit_square
+        from kornlab.mesh import unit_square
 
         mesh_path = tmp_path / "mesh.json"
         save_mesh(unit_square(4), mesh_path)
@@ -189,7 +191,7 @@ class TestKornCommand:
 
     def test_structurally_singular_problem_exits_4(self, tmp_path, capsys):
         # the two-triangle square has no admissible slip fields at all
-        from kornlab.mesh import save_mesh, unit_square
+        from kornlab.mesh import unit_square
 
         mesh_path = tmp_path / "tiny.json"
         save_mesh(unit_square(1), mesh_path)
@@ -358,8 +360,18 @@ def test_bow_tie_mesh_file_names_vertex(tmp_path, capsys):
     ({"cos": {"0": 0.2, "3": False}}, "got False for '3'"),
     ({"cos": {"0": 0.2, "3": "0.05"}}, "got '0.05' for '3'"),
     ({"cos": {"0": 0.2}, "sn": {"1": 0.01}}, "unknown parts ['sn']"),
+    # these used to exit 2 with int()'s own message, which named no part or key
+    ({"cos": {"0": 0.2, "x": 0.05}}, "'cos' wavenumbers must be decimal integers "
+                                     "of at most 308 digits, got 'x'"),
+    ({"cos": {"0": 0.2}, "sin": {"1.5": 0.05}}, "'sin' wavenumbers must be decimal integers "
+                                                "of at most 308 digits, got '1.5'"),
+    ({"cos": {"0": 0.2, "7" * 5000: 0.05}}, "'cos' wavenumbers must be decimal integers "
+                                            "of at most 308 digits, got '7777"),
+    # the range was printed with :.4f, about 600 characters for 1e308
+    ({"cos": {"0": 0.2, "3": 1e308}}, "leaves (0, 1/3)"),
 ], ids=["not-an-object", "cos-list", "sin-number", "list-coefficient", "null-coefficient",
-        "nan", "false", "string", "unknown-part"])
+        "nan", "false", "string", "unknown-part", "letter-key", "decimal-key", "5000-digit-key",
+        "huge-coefficient"])
 def test_malformed_coeffs_file_names_defect(tmp_path, capsys, payload, message):
     path = tmp_path / "coeffs.json"
     path.write_text(json.dumps(payload))
@@ -367,6 +379,31 @@ def test_malformed_coeffs_file_names_defect(tmp_path, capsys, payload, message):
     err = capsys.readouterr().err
     assert err.startswith("kornlab: invalid input:")
     assert message in err
+    assert len(err) < 200
+
+
+def test_report_key_sets_are_pinned(tmp_path):
+    # reports are written from the fields of the result dataclasses, so a
+    # field added to one of them reaches the report: these literals keep
+    # that a deliberate change
+    def result(argv):
+        report = tmp_path / "report.json"
+        assert run(argv + ["--report", str(report)]) == 0
+        return json.loads(report.read_text())["result"]
+
+    level_keys = {"kappa_sq", "solver", "eig_residual", "top_eigenspace_dim", "dof_count",
+                  "iterations", "l_omega", "deflated_rotation"}
+    for flags, keys in (([], level_keys), (["--store-maximizer"], level_keys | {"maximizer"})):
+        (level,) = result(["korn", "--refine", "0", *flags])["levels"]
+        assert set(level) == keys
+        assert set(level["l_omega"]) == {"kind", "residual", "center"}
+    assert set(result(["rigidity", "--n", "64"])) == {
+        "curl_residual", "optimal_theta", "lhs", "rhs", "ratio", "alpha_norm", "f_norm",
+        "g_norm", "theta0", "lhs_at_theta0", "ratio_at_theta0"}
+    shell = result(["shell", "--angular", "64", "--radial", "1", "--h-list", "0.1,0.05"])
+    assert set(shell) == {"rows", "slope"}
+    assert set(shell["rows"][0]) == {"h", "grad_norm", "symgrad_norm", "ratio",
+                                     "tangency_residual"}
 
 
 def test_negative_refine_exits_2(capsys):
@@ -591,7 +628,7 @@ def test_korn_tol_must_be_finite_and_positive(tmp_path, capsys, tol, source):
 
 
 def _square_mesh_file(tmp_path):
-    from kornlab.mesh import save_mesh, unit_square
+    from kornlab.mesh import unit_square
 
     path = tmp_path / "mesh.json"
     save_mesh(unit_square(4), path)

@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 from kornlab.cli import OPTIONS, main
 from kornlab.gridfield import PeriodicGrid, save_field
-from kornlab.mesh import save_mesh, unit_square
+from kornlab.mesh import unit_square
 from kornlab.rigidity import dipole_bump
+
+from helpers import save_mesh
 
 #: Wrong types and booleans, digit and float strings, extreme and non-finite
 #: numbers, negative and huge sizes, and the empty string.

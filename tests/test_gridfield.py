@@ -235,7 +235,7 @@ class TestDetIntegral:
     def test_constant_identity_breaks_the_hypothesis(self, grid):
         # A constant field is not compactly supported: the integral is the
         # box area, not zero.
-        G = MatrixField2.constant(grid, np.eye(2))
+        G = MatrixField2(grid, np.tile(np.eye(2)[:, :, None, None], (grid.n, grid.n)))
         assert det_integral(G) == pytest.approx(grid.length**2, rel=1e-12)
 
     def test_non_gradient_raises(self, grid):
@@ -417,7 +417,8 @@ class TestSerialization:
         assert isinstance(back, ScalarField)
         np.testing.assert_array_equal(back.values, s.values)
         # a matrix field is refused before its header or payload is written
-        m = MatrixField2.constant(grid, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        m = MatrixField2(grid, np.tile(np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None, None],
+                                     (grid.n, grid.n)))
         with pytest.raises(TypeError, match="only a scalar field is written, got MatrixField2"):
             save_field(m, tmp_path / "m.json")
         assert sorted(f.name for f in tmp_path.iterdir()) == ["s.bin", "s.json"]

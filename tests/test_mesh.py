@@ -6,8 +6,10 @@ import pytest
 from kornlab.errors import MeshValidationError
 from kornlab.mesh import (
     TriMesh, annulus, band_prolongation, disk, disk_prolongation, load_mesh, radial_band,
-    save_mesh, unit_square,
+    unit_square,
 )
+
+from helpers import save_mesh
 
 
 def _affine_dofs(vertices, M, b):
