@@ -294,6 +294,7 @@ def _coeff_map(terms, part: str) -> dict[int, float]:
     """The ``part`` ("cos" or "sin") of a coeffs file as {wavenumber: coefficient}."""
     if not isinstance(terms, dict):
         raise ValueError(f"coeffs file: {part!r} must be an object {{k: c}}, got {terms!r}")
+    keys = {}  # wavenumber -> the first key that names it
     for k, c in terms.items():
         # JSON booleans are ints to Python, and NaN passes every range check
         if isinstance(c, bool) or not isinstance(c, (int, float)) or not math.isfinite(c):
@@ -304,6 +305,9 @@ def _coeff_map(terms, part: str) -> dict[int, float]:
         if re.fullmatch(r"[+-]?[0-9]{1,308}", k) is None:
             raise ValueError(f"coeffs file: {part!r} wavenumbers must be decimal integers "
                              f"of at most 308 digits, got {reprlib.repr(k)}")
+        if (twin := keys.setdefault(int(k), k)) != k:  # "3", "03" and "+3" are one wavenumber
+            raise ValueError(f"coeffs file: {part!r} wavenumbers {reprlib.repr(twin)} and "
+                             f"{reprlib.repr(k)} are the same integer")
     return {int(k): float(c) for k, c in terms.items()}
 
 

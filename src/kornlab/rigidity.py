@@ -42,7 +42,7 @@ from .gridfield import (
     potential_from_spectrum,
     tree_sum,
 )
-from .mat2 import dist_so2_arrays  # bound at import: see _dist_sq_sum
+from .mat2 import dist_so2_arrays  # bound at import: see _strip_sums
 
 #: Threshold on rhs below which the field counts as a rotation a.e.
 ZERO_DISTANCE_EPS = 1e-20
@@ -153,67 +153,62 @@ def _gradient_rows(f, g, r: np.ndarray, G: np.ndarray) -> None:
             G[i, j] += r[i, 1] * base[1][j]
 
 
-def _gradient(f: VectorField2, g: VectorField2, r0: mat2.Rotation) -> MatrixField2:
-    """R0 (R(alpha) + [[a, b], [b, -a]]) from f = (sin alpha, cos alpha - 1)
-    and g = (a, b), as the synthesis writes it (:func:`_gradient_sweep`)."""
-    return MatrixField2(f.grid, _gradient_sweep(f, g, r0)[0])
+def _strip_sums(Gs: np.ndarray) -> list:
+    """dist^2(G, SO(2)) and the four entries of G, summed over a (2, 2, h, n)
+    strip; on strip threads, so through the kernel bound at import."""
+    return [(dist_so2_arrays(Gs[0, 0], Gs[0, 1], Gs[1, 0], Gs[1, 1]) ** 2).sum(),
+            *(Gs[i, j].sum() for i in range(2) for j in range(2))]
 
 
 def assemble_gradient(
-    alpha: ScalarField,
-    g: VectorField2,
-    r0: mat2.Rotation = mat2.Rotation(0.0),
-) -> MatrixField2:
-    """Pointwise gradient R0 (R(alpha) + [[a, b], [b, -a]]) with g = (a, b).
+    f: VectorField2, g: VectorField2, r0: mat2.Rotation = mat2.Rotation(0.0)
+) -> tuple[MatrixField2, np.ndarray]:
+    """Pointwise gradient R0 (R(alpha) + [[a, b], [b, -a]]) from
+    f = (sin alpha, cos alpha - 1) and g = (a, b), plus 13 sums over it.
 
     Left-multiplying by the constant rotation R0 keeps the conformal part in
-    SO(2) and rotates the anticonformal coefficient vector by R0.  The row
-    curls re-check the consistency of (alpha, g) against ``CURL_TOL``.
+    SO(2) and rotates the anticonformal coefficient vector by R0.  One sweep
+    over the row strips writes G and, while each strip is in cache, sums
+    dist^2(G, SO(2)) and the four entries of G (the sums
+    :func:`rigidity_ratio` takes), f^2 and g^2 per component (4), and
+    |G_ij - R0_ij|^2 (4), in that order.  No curl check runs here:
+    :func:`rigidity_ratio` makes it.
     """
-    G = _gradient(build_f(alpha), g, r0)
-    check_gradient(G)
-    return G
+    n = f.grid.n
+    r = r0.as_array()
+    G = np.empty((2, 2, n, n))
+
+    def strip(rows):
+        fs, gs, Gs = f.values[:, rows], g.values[:, rows], G[:, :, rows]
+        squares = [(v**2).sum() for v in (*fs, *gs)]
+        _gradient_rows(fs, gs, r, Gs)
+        return [*_strip_sums(Gs), *squares, *_lhs_terms(Gs, r)]
+
+    sums = tree_sum(map_strips(n, strip))  # before G is wrapped: the wrap checks its samples
+    return MatrixField2(f.grid, G), sums
 
 
-def rigidity_ratio(G: MatrixField2) -> ExtremalReport:
+def rigidity_ratio(
+    G: MatrixField2, spectrum: np.ndarray | None = None, sums: np.ndarray | None = None
+) -> ExtremalReport:
     """Certificate for a gradient field: best rotation, both sides, ratio.
 
     The minimizer of the integral of |G - R|^2 over SO(2) depends only on
     the mean of G: it is the closest rotation to the conformal part of the
-    mean.  Raises :class:`ZeroDistance` when G is a rotation field a.e.
-    (the rigidity quotient is then 0/0), and :class:`CurlResidualTooLarge`
-    when its row curls exceed ``CURL_TOL``.
+    mean.  ``spectrum`` is G's :func:`~kornlab.gridfield.half_spectrum`, for
+    the row-curl check; ``sums`` starts with the summed dist^2(G, SO(2)) and
+    the four entry sums of G, as :func:`assemble_gradient` returns them.
+    Either is computed from G when not passed.  One more sweep sums
+    |G - R*|^2 (see :func:`_lhs_at`).  Raises :class:`ZeroDistance` when G
+    is a rotation field a.e. (the rigidity quotient is then 0/0), and
+    :class:`CurlResidualTooLarge` when its row curls exceed ``CURL_TOL``.
     """
-    curl_residual = check_gradient(G)
-    # per strip: dist^2, the entries of G
-    sums = tree_sum(map_strips(G.grid.n, lambda rows: [
-        _dist_sq_sum(G.values[:, :, rows]), *_entry_sums(G.values[:, :, rows])]))
-    return _certificate(G, curl_residual, sums[0], _mean(G.grid, sums[1:]))
-
-
-def _dist_sq_sum(Gs: np.ndarray) -> float:
-    """Sum of dist^2(G, SO(2)) over the samples of a (2, 2, h, n) strip; on
-    strip threads, so through the kernel bound at import, never a wrapper."""
-    return (dist_so2_arrays(Gs[0, 0], Gs[0, 1], Gs[1, 0], Gs[1, 1]) ** 2).sum()
-
-
-def _entry_sums(Gs: np.ndarray) -> list:
-    """Sums of the four entries over a (2, 2, h, n) strip, entry by entry."""
-    return [Gs[i, j].sum() for i in range(2) for j in range(2)]
-
-
-def _mean(grid: PeriodicGrid, entry_sums: np.ndarray) -> np.ndarray:
-    """Grid mean of a matrix field from the sums of its four entries."""
-    return entry_sums.reshape(2, 2) / grid.n**2
-
-
-def _certificate(
-    G: MatrixField2, curl_residual: float, dist_sq_sum: float, mean: np.ndarray
-) -> ExtremalReport:
-    """Report from the row-curl residual, the summed dist^2(G, SO(2)) and the
-    mean of G; one more sweep sums |G - R*|^2."""
-    rhs = float(G.grid.cell_area * dist_sq_sum)
-    rstar = mat2.closest_rotation(mean)
+    grid = G.grid
+    curl_residual = check_gradient(G, spectrum)
+    if sums is None:
+        sums = tree_sum(map_strips(grid.n, lambda rows: _strip_sums(G.values[:, :, rows])))
+    rhs = float(grid.cell_area * sums[0])
+    rstar = mat2.closest_rotation(sums[1:5].reshape(2, 2) / grid.n**2)
     lhs = _lhs_at(G, rstar.as_array())
 
     if rhs <= ZERO_DISTANCE_EPS * max(1.0, lhs):
@@ -252,28 +247,6 @@ def _lhs_at(G: MatrixField2, R: np.ndarray) -> float:
     return _lhs_total(G.grid, tree_sum(parts))
 
 
-def _gradient_sweep(
-    f: VectorField2, g: VectorField2, r0: mat2.Rotation
-) -> tuple[np.ndarray, np.ndarray]:
-    """G from (f, g), row strip by row strip, plus the sums the certificate
-    needs, taken while each strip is in cache.
-
-    The sums, combined over the strips: f^2 and g^2 per component (4),
-    dist^2(G, SO(2)), the four entries of G, and |G_ij - R0_ij|^2 (4).
-    """
-    n = f.grid.n
-    r = r0.as_array()
-    G = np.empty((2, 2, n, n))
-
-    def strip(rows):
-        fs, gs, Gs = f.values[:, rows], g.values[:, rows], G[:, :, rows]
-        squares = [(v**2).sum() for v in (*fs, *gs)]
-        _gradient_rows(fs, gs, r, Gs)
-        return [*squares, _dist_sq_sum(Gs), *_entry_sums(Gs), *_lhs_terms(Gs, r)]
-
-    return G, tree_sum(map_strips(n, strip))
-
-
 def synthesize_extremal(
     alpha: ScalarField, r0: mat2.Rotation = mat2.Rotation(0.0)
 ) -> tuple[ExtremalField, ExtremalReport]:
@@ -286,14 +259,13 @@ def synthesize_extremal(
     Every pointwise stage runs over row strips of ``STRIP_ELEMENTS``
     samples, so its temporaries stay in cache, on ``KORNLAB_THREADS``
     threads (:func:`~kornlab.gridfield.map_strips`); only the three FFTs
-    (f-hat, g, G-hat) see whole planes, with as many workers.  One sweep
-    over the rows of (f, g) writes G and, while each strip is in cache, sums
-    f^2 and g^2 for the norms, dist^2(G, SO(2)) for the right-hand side, the
-    entries of G for its mean (hence R*), and |G - R0|^2 for the left-hand
-    side at the far-field rotation.  After the single curl check on G-hat, a
-    second sweep sums |G - R*|^2.  Both left-hand sides are summed from
-    G - R directly (see :func:`_lhs_at`), never from the moments of G.  The
-    per-strip sums are combined by :func:`~kornlab.gridfield.tree_sum`, which
+    (f-hat, g, G-hat) see whole planes, with as many workers.  One sweep,
+    :func:`assemble_gradient`, writes G and sums f^2 and g^2 for the norms,
+    dist^2(G, SO(2)) for the right-hand side, the entries of G for its mean
+    (hence R*), and |G - R0|^2 for the left-hand side at the far-field
+    rotation.  :func:`rigidity_ratio` takes those sums and G-hat, makes the
+    single curl check and a second sweep for |G - R*|^2.  The per-strip
+    sums are combined by :func:`~kornlab.gridfield.tree_sum`, which
     reproduces numpy's whole-plane sums bit for bit, so no reported number
     depends on the strip height or the thread count.
 
@@ -306,18 +278,16 @@ def synthesize_extremal(
     alpha_norm = alpha.norm_l2()
     f = build_f(alpha)
     g = solve_g(f)
-    G, sums = _gradient_sweep(f, g, r0)
+    G, sums = assemble_gradient(f, g, r0)
     del f, g
-    G = MatrixField2(grid, G)
 
     ghat = half_spectrum(G.values)
-    mean = _mean(grid, sums[5:9])
-    report = _certificate(G, check_gradient(G, ghat), sums[4], mean)
-    extremal = ExtremalField(grid, ghat, mean)
+    report = rigidity_ratio(G, ghat, sums)
+    extremal = ExtremalField(grid, ghat, sums[1:5].reshape(2, 2) / grid.n**2)
 
     report.alpha_norm = alpha_norm
-    report.f_norm = math.sqrt(grid.cell_area * float(sums[0] + sums[1]))
-    report.g_norm = math.sqrt(grid.cell_area * float(sums[2] + sums[3]))
+    report.f_norm = math.sqrt(grid.cell_area * float(sums[5] + sums[6]))
+    report.g_norm = math.sqrt(grid.cell_area * float(sums[7] + sums[8]))
     report.theta0 = r0.theta
     report.lhs_at_theta0 = _lhs_total(grid, sums[9:])
     report.ratio_at_theta0 = report.lhs_at_theta0 / (2.0 * report.rhs)

@@ -14,6 +14,7 @@ so the Korn quotient grows like 1/h as the shell thins.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,7 +44,14 @@ class ShellSpec:
             raise MeshValidationError(f"shell thickness must lie in (0, 0.5), got {self.h}")
         if self.angular_resolution < 16 or self.radial_layers < 1:
             raise MeshValidationError("shell resolution too coarse")
-        theta = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+        # the mesh resolves |k| up to angular_resolution // 2; 16 samples per
+        # period of the top wavenumber keep the range check from aliasing
+        top = max((abs(k) for coeffs in (self.cos_coeffs, self.sin_coeffs)
+                   for k, c in coeffs.items() if c != 0.0), default=0)
+        if top > self.angular_resolution // 2:
+            raise MeshValidationError(f"profile wavenumber {reprlib.repr(top)} exceeds half "
+                                      f"the angular resolution {self.angular_resolution}")
+        theta = np.linspace(0.0, 2.0 * math.pi, max(4096, 16 * top), endpoint=False)
         g = self.profile(theta)
         if not np.isfinite(g).all() or g.min() <= 0.0 or g.max() >= 1.0 / 3.0:
             raise MeshValidationError(

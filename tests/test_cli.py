@@ -369,9 +369,15 @@ def test_bow_tie_mesh_file_names_vertex(tmp_path, capsys):
                                             "of at most 308 digits, got '7777"),
     # the range was printed with :.4f, about 600 characters for 1e308
     ({"cos": {"0": 0.2, "3": 1e308}}, "leaves (0, 1/3)"),
+    # these used to run on: the last of two equal wavenumbers overwrote the
+    # first, and 4096 aliased to 0 on the 4096 samples of the range check
+    ({"cos": {"0": 0.2, "3": 0.05, "03": 0.01}}, "'cos' wavenumbers '3' and '03' are the "
+                                                 "same integer"),
+    ({"cos": {"0": 0.2, "4096": -0.15}}, "profile wavenumber 4096 exceeds half the angular "
+                                         "resolution 2048"),
 ], ids=["not-an-object", "cos-list", "sin-number", "list-coefficient", "null-coefficient",
         "nan", "false", "string", "unknown-part", "letter-key", "decimal-key", "5000-digit-key",
-        "huge-coefficient"])
+        "huge-coefficient", "duplicate-wavenumber", "unresolved-wavenumber"])
 def test_malformed_coeffs_file_names_defect(tmp_path, capsys, payload, message):
     path = tmp_path / "coeffs.json"
     path.write_text(json.dumps(payload))

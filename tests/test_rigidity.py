@@ -156,20 +156,20 @@ class TestAssembleGradient:
     def test_trivial_inputs_give_identity(self, grid):
         alpha = ScalarField(grid, np.zeros((grid.n, grid.n)))
         g = VectorField2(grid, np.zeros((2, grid.n, grid.n)))
-        G = rg.assemble_gradient(alpha, g, mat2.Rotation(0.0))
+        G = rg.assemble_gradient(rg.build_f(alpha), g, mat2.Rotation(0.0))[0]
         assert np.abs(G.values - np.eye(2)[:, :, None, None]).max() == 0.0
 
     def test_synthesized_pair_is_curl_free(self):
         gr = PeriodicGrid(256, 20.0)
         alpha = rg.dipole_bump(gr, amplitude=0.8)
-        g = rg.solve_g(rg.build_f(alpha))
-        G = rg.assemble_gradient(alpha, g, mat2.Rotation(0.6))
+        f = rg.build_f(alpha)
+        G = rg.assemble_gradient(f, rg.solve_g(f), mat2.Rotation(0.6))[0]
         assert G.row_curl_residual() <= 1e-8
 
     def test_pointwise_distance_equals_anticonformal_norm(self, grid):
         alpha = rg.dipole_bump(grid, amplitude=0.9)
-        g = rg.solve_g(rg.build_f(alpha))
-        G = rg.assemble_gradient(alpha, g, mat2.Rotation(1.1))
+        f = rg.build_f(alpha)
+        G = rg.assemble_gradient(f, rg.solve_g(f), mat2.Rotation(1.1))[0]
         v = G.values
         dist = mat2.dist_so2_arrays(v[0, 0], v[0, 1], v[1, 0], v[1, 1])
         _, _, a_a, a_b = mat2.split_arrays(v[0, 0], v[0, 1], v[1, 0], v[1, 1])
@@ -178,8 +178,8 @@ class TestAssembleGradient:
 
     def test_conformal_part_is_rotation_pointwise(self, grid):
         alpha = rg.dipole_bump(grid, amplitude=1.0)
-        g = rg.solve_g(rg.build_f(alpha))
-        G = rg.assemble_gradient(alpha, g, mat2.Rotation(2.0))
+        f = rg.build_f(alpha)
+        G = rg.assemble_gradient(f, rg.solve_g(f), mat2.Rotation(2.0))[0]
         v = G.values
         c_a, c_b, _, _ = mat2.split_arrays(v[0, 0], v[0, 1], v[1, 0], v[1, 1])
         radius = np.sqrt(c_a**2 + c_b**2)  # rotations sit at radius 1
@@ -189,8 +189,10 @@ class TestAssembleGradient:
         alpha = rg.dipole_bump(grid, amplitude=1.0)
         g = VectorField2(grid, np.stack([rg.gaussian_bump(grid).values,
                                          np.zeros((grid.n, grid.n))]))
+        # the gradient sweep makes no curl check; the certificate makes it
+        G, sums = rg.assemble_gradient(rg.build_f(alpha), g, mat2.Rotation(0.0))
         with pytest.raises(CurlResidualTooLarge):
-            rg.assemble_gradient(alpha, g, mat2.Rotation(0.0))
+            rg.rigidity_ratio(G, sums=sums)
 
 
 class TestRigidityRatio:
@@ -202,8 +204,8 @@ class TestRigidityRatio:
 
     def test_optimal_rotation_matches_bruteforce_scan(self, grid):
         alpha = rg.gaussian_bump(grid, amplitude=0.6, center=(1.0, -0.5))
-        g = rg.solve_g(rg.build_f(alpha))
-        G = rg.assemble_gradient(alpha, g, mat2.Rotation(0.9))
+        f = rg.build_f(alpha)
+        G = rg.assemble_gradient(f, rg.solve_g(f), mat2.Rotation(0.9))[0]
         report = rg.rigidity_ratio(G)
         thetas = np.linspace(0.0, 2.0 * math.pi, 10001)
         vals = []
@@ -264,8 +266,8 @@ class TestSynthesizeExtremal:
         assert mat2.angle_distance(report.optimal_theta, theta0) <= 1e-6
         # reconstructed potential reproduces the gradient
         G = extremal.gradient()
-        alpha_check = rg.assemble_gradient(alpha, rg.solve_g(rg.build_f(alpha)),
-                                           mat2.Rotation(theta0))
+        f = rg.build_f(alpha)
+        alpha_check = rg.assemble_gradient(f, rg.solve_g(f), mat2.Rotation(theta0))[0]
         assert np.abs(G.values - alpha_check.values).max() < 1e-9
 
     def test_split_norm_equality_for_centered_gradient(self, grid):
@@ -335,6 +337,42 @@ class TestOnePassPipeline:
         assert sum(planes for _, planes in calls) == 8
         assert len(checks) == 1
 
+    def test_synthesis_runs_through_the_public_stages_once_each(self, monkeypatch):
+        # the synthesis looks its stages up by module-global name, so a
+        # wrapper set on the module (as a tracer sets one) sees every call
+        calls = []
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in ((rg, "assemble_gradient"), (rg, "rigidity_ratio"),
+                            (MatrixField2, "row_curl_residual")):
+            counted(owner, name)
+        rg.synthesize_extremal(rg.dipole_bump(PeriodicGrid(64, 20.0)), mat2.Rotation(0.5))
+        assert sorted(calls) == ["assemble_gradient", "rigidity_ratio", "row_curl_residual"]
+
+    def test_no_buffer_is_read_before_it_is_written(self, monkeypatch):
+        # np.empty returns whatever the allocator held; NaN there makes a
+        # read before the write (a finiteness check of G before the sweep
+        # fills it) fail instead of passing on finite leftovers
+        grid, r0 = PeriodicGrid(64, 20.0), mat2.Rotation(0.5)
+        clean = rg.synthesize_extremal(rg.dipole_bump(grid), r0)[1]
+        empty = np.empty
+
+        def poisoned(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if np.issubdtype(out.dtype, np.inexact):
+                out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(np, "empty", poisoned)
+        assert rg.synthesize_extremal(rg.dipole_bump(grid), r0)[1] == clean
+
     def test_inconsistent_g_is_caught_by_the_single_check(self, grid, monkeypatch):
         alpha = rg.dipole_bump(grid, amplitude=1.0)
         bogus = VectorField2(grid, np.stack([rg.gaussian_bump(grid).values,
@@ -349,7 +387,7 @@ class TestOnePassPipeline:
         alpha, r0 = rg.dipole_bump(grid), mat2.Rotation(0.5)
         extremal, _ = rg.synthesize_extremal(alpha, r0)
         f = rg.build_f(alpha)
-        eager = rg.potential_from_gradient(rg._gradient(f, rg.solve_g(f), r0))
+        eager = rg.potential_from_gradient(rg.assemble_gradient(f, rg.solve_g(f), r0)[0])
         periodic = extremal.periodic
         assert periodic.values.shape == (2, 64, 64)
         assert np.array_equal(periodic.values, eager.values)
@@ -450,8 +488,8 @@ class TestInPlaceSynthesisOracle:
         _assert_report_matches(report, expected)
         assert np.array_equal(extremal.affine, G.mean(axis=(-2, -1)))
         assert np.array_equal(extremal.ghat, ghat)
-        assert np.array_equal(rg._gradient(rg.build_f(alpha), rg.solve_g(rg.build_f(alpha)),
-                                           rot).values, G)
+        assert np.array_equal(rg.assemble_gradient(rg.build_f(alpha),
+                                                   rg.solve_g(rg.build_f(alpha)), rot)[0].values, G)
 
     def test_random_gradient_with_nyquist_content(self):
         # the spectral gradient of white noise carries content on the
@@ -470,7 +508,7 @@ class TestInPlaceSynthesisOracle:
         f, g = rng.standard_normal((2, 2, grid.n, grid.n))
         rot = mat2.Rotation(2.5)
         assert np.array_equal(
-            rg._gradient(VectorField2(grid, f), VectorField2(grid, g), rot).values,
+            rg.assemble_gradient(VectorField2(grid, f), VectorField2(grid, g), rot)[0].values,
             _oracle_gradient(f, g, rot))
 
 
@@ -513,8 +551,8 @@ class TestStripSweeps:
         _assert_report_matches(strip_report, expected)
         assert np.array_equal(strip_extremal.ghat, ghat)
         assert np.array_equal(strip_extremal.affine, G.mean(axis=(-2, -1)))
-        assert np.array_equal(rg._gradient(VectorField2(grid, f), VectorField2(grid, g),
-                                           rot).values, G)
+        assert np.array_equal(rg.assemble_gradient(VectorField2(grid, f), VectorField2(grid, g),
+                                                   rot)[0].values, G)
 
 
 class TestStripThreads:

@@ -30,6 +30,14 @@ class TestShellSpec:
     def test_rejects_profile_leaving_range(self):
         with pytest.raises(MeshValidationError):
             ShellSpec(cos_coeffs={0: 0.2, 3: 0.25})
+        # g = 0.2 - 0.15 cos(4096 theta) spans [0.05, 0.35], but each of
+        # 4096 equispaced check samples saw g = 0.05
+        with pytest.raises(MeshValidationError, match=r"range \[0.05, 0.35\] leaves"):
+            ShellSpec(cos_coeffs={0: 0.2, 4096: -0.15}, angular_resolution=8192)
+        with pytest.raises(MeshValidationError, match="wavenumber 4096 exceeds half the "
+                                                      "angular resolution 8190"):
+            ShellSpec(cos_coeffs={0: 0.2, 4096: -0.15}, angular_resolution=8190)
+        ShellSpec(cos_coeffs={0: 0.2, 4096: 0.0}, angular_resolution=64)  # a zero term is no wave
 
     def test_rejects_nan_profile(self):
         # a NaN profile fails every comparison, so the range check alone passed it
