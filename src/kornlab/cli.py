@@ -39,6 +39,7 @@ from .errors import (
     MeshValidationError,
     SolverFailure,
     ZeroDistance,
+    unique_keys,
 )
 
 EXIT_OK = 0
@@ -92,7 +93,7 @@ def _write_report(path: str | None, payload: dict) -> None:
 
 
 def _read_json(path):
-    return json.loads(Path(path).read_text())
+    return json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
 
 
 def _load(loader, path, what: str):

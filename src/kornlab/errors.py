@@ -1,8 +1,20 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the check of JSON input
+for repeated keys.
 
 The CLI maps these onto its exit-code contract: validation failures exit
 with 2, mathematical degeneracies with 3, solver failures with 4.
 """
+
+
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` for ``json.loads``: the object, or a ValueError
+    naming a key that it repeats (``json`` alone keeps the last value)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
 
 
 class KornlabError(Exception):

@@ -45,7 +45,7 @@ import numpy as np
 import scipy.fft
 
 from . import thread_count as fft_workers  # threads of every FFT and strip sweep
-from .errors import CurlResidualTooLarge
+from .errors import CurlResidualTooLarge, unique_keys
 
 #: Relative row-curl tolerance for "this matrix field is a gradient".
 CURL_TOL = 1e-8
@@ -420,11 +420,11 @@ def save_field(field: ScalarField, path) -> None:
 
 
 def load_field(path) -> ScalarField:
-    """Read a field written by :func:`save_field`; a header value of the
-    wrong JSON kind, other than 1 component or a format other than "bin" is
-    refused by name."""
+    """Read a field written by :func:`save_field`; a repeated header key, a
+    header value of the wrong JSON kind, other than 1 component or a format
+    other than "bin" is refused by name."""
     path = Path(path)
-    header = json.loads(path.read_text())
+    header = json.loads(path.read_text(), object_pairs_hook=unique_keys)
     if not isinstance(header, dict):
         raise ValueError("field header must hold a JSON object")
     for key in ("n", "L", "components", "format", "data"):

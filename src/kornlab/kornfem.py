@@ -20,8 +20,8 @@ rows, of its strain rows and of its div row.  The null-Lagrangian identity
 freedom (and on slip dofs of straight-edged domains with pinned corners).
 
 The eigen iteration is preconditioned in one of two ways, chosen from the
-pencil itself.  A pencil is *certified* when it has no rank-one curl term,
-no deflated rotation, and the identity above holds on its dofs
+pencil itself.  A pencil is *certified* when it has no rank-one curl term
+and the identity above holds on its dofs
 (:func:`null_lagrangian_gap`).  Then sigma B - A = C + 2 delta B with
 sigma = 2 (1 + delta) is symmetric positive definite, every eigenvalue is at
 most 2, and the exact shifted inverse (sigma B - A)^{-1} sits just above the
@@ -30,9 +30,10 @@ other pencil is preconditioned with B^{-1}.
 
 The iteration moves n x k blocks: per step, sparse block products with A
 and B and one multi-column solve with the preconditioner, whose definite
-forms are factored in a symmetric order without pivoting.  Where a rigid
-rotation q is deflated, B is singular along q, so one dof is pinned and
-the rest of B is factored as a definite form.
+forms are factored in a symmetric order without pivoting.  A rigid
+rotation q that is admissible lies in the kernel of both forms; it is
+deflated by the choice of basis: the pencil is built without the basis
+column where |q_k| is largest, and B is definite there.
 """
 
 from __future__ import annotations
@@ -298,29 +299,21 @@ class KornEstimate:
 
 
 class _Pencil:
-    """Constrained pencil (A~, B) with optional rank-one curl downdate and an
-    optional deflated rigid rotation removed from the trial space.
+    """Pencil (A~, B) on the columns of ``basis``, with an optional rank-one
+    curl downdate.
 
     The operators take n x k blocks or vectors.  ``shifted`` records whether
     the pencil is certified for the shifted preconditioner (module docstring)."""
 
-    def __init__(self, forms: AssembledForms, constraints: ConstraintSet,
-                 rank_one: np.ndarray | None, deflate: np.ndarray | None):
-        Z = constraints.basis
-        GZ, self.E, D = _constrained_rows(forms, Z)  # B = E^T E
+    def __init__(self, forms: AssembledForms, basis: sp.spmatrix, rank_one: np.ndarray | None):
+        GZ, self.E, D = _constrained_rows(forms, basis)  # B = E^T E
         self.A, self.B = _gram(GZ), _gram(self.E)
-        self.ell = None if rank_one is None else Z.T @ rank_one
+        self.ell = None if rank_one is None else basis.T @ rank_one
         self.scale = 2.0 * forms.area
-        self.deflate = deflate  # unit direction excluded from trials, or None
-        self.n = Z.shape[1]
-        self.shifted = (rank_one is None and deflate is None
-                        and _gap(self.A, self.B, D) <= IDENTITY_TOL)
+        self.n = basis.shape[1]
+        self.shifted = rank_one is None and _gap(self.A, self.B, D) <= IDENTITY_TOL
         self._solve = None
         self._M = None  # operator that the first solve's residual is measured with
-
-    def project(self, X: np.ndarray) -> np.ndarray:
-        q = self.deflate
-        return X if q is None else X - np.multiply.outer(q, q @ X)
 
     def apply_A(self, X: np.ndarray) -> np.ndarray:
         Y = self.A @ X
@@ -336,57 +329,37 @@ class _Pencil:
 
         On a certified pencil this solves (sigma B - A) Y = R with
         sigma = 2 (1 + SHIFT_DELTA); the matrix equals C + 2 delta B there,
-        which is symmetric positive definite.  Otherwise it solves B Y = R
-        on the deflated subspace.  With a deflated rotation q, B q = 0 and q
-        spans the kernel of B, so the dof k where |q_k| is largest is pinned:
-        the rest of B is definite, Y_k = 0, and projecting out q gives the
-        solution orthogonal to q.  For R orthogonal to q that solves
-        B Y = R exactly, since row k follows from q^T B = 0.  The factor is
-        made on the first call, in a symmetric minimum-degree order without
-        pivoting.  A singular form can still factor, with a roundoff-sized
-        pivot, into finite garbage; the first solve's relative residual,
-        above ``SOLVE_TOL``, exposes it.
+        which is symmetric positive definite.  Otherwise it solves B Y = R;
+        B is definite on every pencil that ``korn_constant`` builds, since a
+        rigid rotation is deflated by its basis.  The factor is made on the
+        first call, in a symmetric minimum-degree order without pivoting.  A
+        singular form can still factor, with a roundoff-sized pivot, into
+        finite garbage; the first solve's relative residual, above
+        ``SOLVE_TOL``, exposes it.
         """
         what = "shifted form sigma B - A" if self.shifted else "symmetric-gradient form"
         first = self._solve is None
         if first:
-            self._M = M = self.B
+            self._M = self.B
             if self.shifted:
-                self._M = M = (2.0 * (1.0 + SHIFT_DELTA) * self.B - self.A).tocsr()
-            q = self.deflate
-            if q is not None:
-                keep = np.delete(np.arange(self.n), np.argmax(np.abs(q)))
-                M = M[keep][:, keep]
+                self._M = (2.0 * (1.0 + SHIFT_DELTA) * self.B - self.A).tocsr()
             try:
-                lu = spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                lu = spla.splu(self._M.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                options={"SymmetricMode": True})
             except Exception as exc:
                 raise SolverFailure(
                     f"factorization of the {what} failed "
                     f"(undetected rigid mode or broken mesh): {exc}"
                 ) from exc
-            self._solve = lu.solve if q is None else _pinned_solve(lu, q, keep)
+            self._solve = lu.solve
         Y = self._solve(R)
         if not np.all(np.isfinite(Y)) or (
-            first and np.linalg.norm(self.project(self._M @ Y - R))
-            > SOLVE_TOL * np.linalg.norm(R)
+            first and np.linalg.norm(self._M @ Y - R) > SOLVE_TOL * np.linalg.norm(R)
         ):
             raise SolverFailure(
                 f"singular {what}: undetected rigid mode or geometry/symmetry mismatch"
             )
         return Y
-
-
-def _pinned_solve(lu, q: np.ndarray, keep: np.ndarray):
-    """Solve with the factor of B on the ``keep`` dofs: the pinned dof is 0,
-    then q is projected out.  The closure holds no pencil, so the factor is
-    freed with its pencil instead of waiting for a reference cycle to be
-    collected."""
-    def solve(R: np.ndarray) -> np.ndarray:
-        Y = np.zeros_like(R)
-        Y[keep] = lu.solve(R[keep])
-        return Y - np.multiply.outer(q, q @ Y)
-    return solve
 
 
 def _block_top(pencil: _Pencil, seeds: list[np.ndarray], tol: float
@@ -406,24 +379,23 @@ def _block_top(pencil: _Pencil, seeds: list[np.ndarray], tol: float
 
     A step moves the whole block: sparse block products with A and B, one
     multi-column solve with T = ``pencil.precondition`` (the shifted inverse
-    (sigma B - A)^{-1} on a certified pencil, B^{-1} otherwise, with one dof
-    pinned where a rotation is deflated; definite factors in a symmetric
-    order) and B-orthonormalization on small Gram matrices.  With B^{-1}
-    the iteration converges at the rate set by the relative gap below the
-    top eigenvalue, which is tiny where the Dirichlet spectrum clusters
-    below 2 (hundreds of iterations at 8k dofs); the shift just above 2
-    magnifies that gap, and the Dirichlet sweep converges in tens.  The
-    iteration stops when the top Ritz value changes by less than ``tol``
-    (relative) twice in a row, which also ends a highly degenerate top
-    eigenvalue (the slip square, where 2 is attained) in three steps.
+    (sigma B - A)^{-1} on a certified pencil, B^{-1} otherwise; definite
+    factors in a symmetric order) and B-orthonormalization on small Gram
+    matrices.  With B^{-1} the iteration converges at the rate set by the
+    relative gap below the top eigenvalue, which is tiny where the Dirichlet
+    spectrum clusters below 2 (hundreds of iterations at 8k dofs); the shift
+    just above 2 magnifies that gap, and the Dirichlet sweep converges in
+    tens.  The iteration stops when the top Ritz value changes by less than
+    ``tol`` (relative) twice in a row, which also ends a highly degenerate
+    top eigenvalue (the slip square, where 2 is attained) in three steps.
 
     Returns (values, vectors, iterations, converged); values sorted
     descending, vectors B-orthonormal, and ``converged`` false when
     ``MAX_ITER`` steps ran without the stopping rule firing.
     """
-    X = _b_orthonormalize(pencil, pencil.project(np.stack(seeds, axis=1)))
+    X = _b_orthonormalize(pencil, np.stack(seeds, axis=1))
     if X.shape[1] == 0:
-        raise SolverFailure("start block is B-degenerate after deflation")
+        raise SolverFailure("start block is B-degenerate")
     P = None
     rho_top = -np.inf
     stall = 0
@@ -434,7 +406,7 @@ def _block_top(pencil: _Pencil, seeds: list[np.ndarray], tol: float
         AX = pencil.apply_A(X)
         rhos = np.einsum("ij,ij->j", X, AX)
         R = AX - pencil.apply_B(X) * rhos[None, :]
-        W = pencil.project(pencil.precondition(pencil.project(R)))
+        W = pencil.precondition(R)
         S = _b_orthonormalize(pencil, np.hstack([X, W] if P is None else [X, W, P]))
         a_small = S.T @ pencil.apply_A(S)
         a_small = 0.5 * (a_small + a_small.T)
@@ -493,7 +465,7 @@ def _seed_pairs(pencil: _Pencil, coords: np.ndarray, count: int, tol: float):
     sorted descending, if each has |A x - rho B x| <= tol |A x|; else None."""
     if coords.shape[1] < count:
         return None
-    X = _b_orthonormalize(pencil, pencil.project(coords))
+    X = _b_orthonormalize(pencil, coords)
     AX = pencil.apply_A(X)
     V = np.linalg.eigh(X.T @ AX)[1]
     X, AX = X @ V, AX @ V
@@ -509,15 +481,12 @@ def _dense_top(pencil: _Pencil, count: int):
     A = pencil.A.toarray()
     if pencil.ell is not None:
         A = A - np.outer(pencil.ell, pencil.ell) / pencil.scale
-    B = pencil.B.toarray()
-    Q = np.zeros((pencil.n, 0)) if pencil.deflate is None else pencil.deflate[:, None]
-    complement = np.linalg.qr(Q, mode="complete")[0][:, Q.shape[1]:]  # orthonormal
     # B = L L^T reduces the pencil for numpy's LAPACK: scipy's eigh runs in a
     # second OpenBLAS thread pool, 30-120 ms instead of 2 ms at 98 dofs (2 BLAS
     # threads on 2 cores) while numpy's pool still spins after block products.
-    Li = np.linalg.inv(np.linalg.cholesky(complement.T @ B @ complement))
-    vals, vecs = np.linalg.eigh(Li @ (complement.T @ A @ complement) @ Li.T)
-    vecs = complement @ (Li.T @ vecs)
+    Li = np.linalg.inv(np.linalg.cholesky(pencil.B.toarray()))
+    vals, vecs = np.linalg.eigh(Li @ A @ Li.T)
+    vecs = Li.T @ vecs
     order = np.argsort(vals)[::-1]
     return vals[order[:count]], vecs[:, order[:count]]
 
@@ -562,6 +531,12 @@ def korn_constant(
     anything is factored: pairs with relative residuals at most ``100 * tol``
     are the result (``solver`` "seed", 0 iterations); otherwise its first
     column starts the iteration, with random companions.
+
+    An admissible rigid rotation q lies in the kernel of both forms, so it
+    is deflated by the choice of basis: the pencil drops the basis column k
+    where |q_k| is largest, and seeds move along q to a zero at k.  Its
+    vectors come back with a zero at k and q projected out, so the top
+    block stays orthogonal to the rotation.
     """
     if bc not in ("tangential", "dirichlet"):
         raise ValueError(f"unknown boundary condition {bc!r}")
@@ -573,28 +548,31 @@ def korn_constant(
         raise SolverFailure("constrained space is empty; refine the mesh")
 
     l_omega = detect_L_omega(mesh)
-    deflate = rank_one = None
+    basis, rank_one, q = constraints.basis, None, None
     if bc == "tangential" and l_omega.kind == "rotational":
         rank_one = forms.curl_vec
         rot = _rotation_dofs(mesh, constraints, l_omega.center)
         if rot is not None:
-            deflate = rot / np.linalg.norm(rot)
+            q = rot / np.linalg.norm(rot)
+            k = int(np.argmax(np.abs(q)))
+            basis = basis[:, np.delete(np.arange(len(q)), k)]
 
-    pencil = _Pencil(forms, constraints, rank_one, deflate)
-    block = min(1 + EXTRA_PAIRS, pencil.n - (deflate is not None))
+    pencil = _Pencil(forms, basis, rank_one)
+    block = min(1 + EXTRA_PAIRS, pencil.n)
     coords = constraints.basis.T @ (_bump_seed(mesh)[:, None] if seed is None else seed)
+    if q is not None:
+        coords = np.delete(coords - np.multiply.outer(q, coords[k] / q[k]), k, axis=0)
     if pencil.n <= DENSE_THRESHOLD:
         (vals, vecs), iterations, converged, solver = _dense_top(pencil, block), 0, True, "dense"
-    elif deflate is None and (pairs := _seed_pairs(pencil, coords, block, 100 * tol)) is not None:
+    elif q is None and (pairs := _seed_pairs(pencil, coords, block, 100 * tol)) is not None:
         (vals, vecs), iterations, converged, solver = pairs, 0, True, "seed"
     else:
-        # contiguous: project rounds q @ x differently on a strided column
-        start = pencil.project(np.ascontiguousarray(coords[:, 0]))
+        start = coords[:, 0]
         rng = np.random.default_rng(0)
         if float(start @ (pencil.B @ start)) <= 0.0:
-            start = pencil.project(rng.standard_normal(pencil.n))
+            start = rng.standard_normal(pencil.n)
         companions = [rng.standard_normal(pencil.n) for _ in range(block - 1)]
-        if deflate is not None:
+        if q is not None:
             # the whole block keeps the rotational partner of the maximizer;
             # on the Dirichlet square it ended lower, by about 1e-11
             companions[:0] = coords[:, 1:block].T
@@ -610,17 +588,20 @@ def korn_constant(
     resid = np.linalg.norm(Ax - top * Bx) / max(np.linalg.norm(Ax), 1e-300)
     if not converged:
         raise SolverFailure(
-            f"eigen iteration did not converge: {pencil.n} dofs, {iterations} "
+            f"eigen iteration did not converge: {constraints.dof_count} dofs, {iterations} "
             f"iterations (MAX_ITER), relative residual {resid:.3e}"
         )
+    if q is not None:
+        vecs = np.insert(vecs, k, 0.0, axis=0)
+        vecs -= np.multiply.outer(q, q @ vecs)
     return KornEstimate(
         kappa_sq=float(top),
         eig_residual=float(resid),
         top_eigenspace_dim=int(dim),
-        dof_count=pencil.n,
+        dof_count=constraints.dof_count,
         iterations=iterations,
         l_omega=l_omega,
-        deflated_rotation=deflate is not None,
+        deflated_rotation=q is not None,
         solver=solver,
         _top_block=constraints.basis @ vecs,
     )

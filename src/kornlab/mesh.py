@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InfiniteQuotient, MeshValidationError
+from .errors import InfiniteQuotient, MeshValidationError, unique_keys
 
 
 @dataclass
@@ -348,7 +348,7 @@ def evaluate_field_ratio(mesh: TriMesh, u_fn, grad_fn) -> dict:
 
 def load_mesh(path) -> TriMesh:
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise MeshValidationError(f"mesh file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):

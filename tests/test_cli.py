@@ -814,6 +814,15 @@ def _list_config(tmp_path):
     return path
 
 
+def _json_text(name, text):
+    """A writer of ``text`` to the file ``name``, for inputs json.dumps cannot
+    write, such as an object that repeats a key."""
+    def write(tmp_path):
+        (tmp_path / name).write_text(text)
+        return tmp_path / name
+    return write
+
+
 @pytest.mark.parametrize("argv, message", [
     (["korn", "--config", _list_config], "config file must hold a flat JSON object"),
     (["shell", "--profile", " "], "empty profile ' '"),
@@ -824,8 +833,22 @@ def _list_config(tmp_path):
      "unknown field format 'xml'"),
     (["rigidity", "--alpha-file", lambda d: _alpha_header(d, n=16.7)],
      "field header key 'n' must be an integer, got 16.7"),
+    # these used to run on with the last of the two values
+    (["korn", "--config", _json_text("cfg.json", '{"refine": 1, "refine": 2, "domain": "disk"}')],
+     "repeated key 'refine' in a JSON object"),
+    (["shell", "--coeffs", _json_text("coeffs.json", '{"cos": {"0": 0.2, "3": 0.05, "3": 0.01}}')],
+     "repeated key '3' in a JSON object"),
+    (["korn", "--mesh-file", _json_text("mesh.json", '{"vertices": [[0, 0], [1, 0], [0, 1]], '
+                                        '"vertices": [[0, 0], [2, 0], [0, 2]], '
+                                        '"triangles": [[0, 1, 2]]}')],
+     "repeated key 'vertices' in a JSON object"),
+    (["rigidity", "--alpha-file", _json_text("alpha.json", '{"n": 16, "n": 32, "L": 8.0, '
+                                             '"components": 1, "format": "bin", '
+                                             '"data": "alpha.bin"}')],
+     "repeated key 'n' in a JSON object"),
 ], ids=["config-list", "blank-profile", "vector-alpha", "three-components", "xml-format",
-        "fractional-n"])
+        "fractional-n", "repeated-config-key", "repeated-wavenumber", "repeated-mesh-key",
+        "repeated-header-key"])
 def test_refusal_names_its_defect(tmp_path, capsys, argv, message):
     argv = [str(item(tmp_path)) if callable(item) else item for item in argv]
     assert run(argv) == 2

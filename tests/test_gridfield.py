@@ -446,6 +446,14 @@ class TestSerialization:
             load_field(path)
         assert str(info.value) == message
 
+    def test_repeated_header_key_refused(self, tmp_path):
+        # json alone keeps the last value of a repeated key
+        path = tmp_path / "s.json"
+        save_field(ScalarField(PeriodicGrid(16, 8.0), np.zeros((16, 16))), path)
+        path.write_text(path.read_text().replace('"n": 16', '"n": 16, "n": 32'))
+        with pytest.raises(ValueError, match="repeated key 'n' in a JSON object"):
+            load_field(path)
+
     def test_integer_box_length_is_a_number(self, tmp_path):
         path = tmp_path / "s.json"
         save_field(ScalarField(PeriodicGrid(16, 8.0), np.zeros((16, 16))), path)

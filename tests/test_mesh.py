@@ -305,6 +305,14 @@ class TestMeshIO:
         with pytest.raises(MeshValidationError, match="JSON"):
             load_mesh(path)
 
+    def test_rejects_repeated_key(self, tmp_path):
+        # json alone keeps the last value of a repeated key
+        path = tmp_path / "twice.json"
+        path.write_text('{"vertices": [[0,0],[1,0],[0,1]], "vertices": [[0,0],[2,0],[0,2]], '
+                        '"triangles": [[0,1,2]]}')
+        with pytest.raises(ValueError, match="repeated key 'vertices'"):
+            load_mesh(path)
+
     def test_rejects_missing_keys(self, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text('{"vertices": [[0,0],[1,0],[0,1]]}')
