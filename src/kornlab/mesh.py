@@ -9,19 +9,22 @@ rotation of b - a.  This orients inner loops of multiply connected domains
 The structured generators (square, radial bands) number their vertices on a
 grid and split all cells along the same diagonal at once (``_split_quads``).
 All edge topology comes from one edge table (``_edge_table``: directed
-edges and how many triangles share each), read by the boundary extraction,
-by validation and by the disk's boundary projection.
+edges, the undirected edge of each and how many triangles share it), read
+by the boundary extraction, by validation, by the disk's boundary
+projection and by the quadrature.
 
 Next to the disk and band generators sit their prolongations, which carry
 a dof block to the next level of the sweep: the disk's in the edge order
 of its own subdivision, the band's in (angle, layer) index space.
 
 ``evaluate_field_ratio`` integrates analytic fields over a mesh with pure
-numpy quadrature, so that the shell experiment loads no scipy.
+numpy quadrature, so that the shell experiment loads no scipy; it
+evaluates a field once per edge midpoint.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -39,6 +42,8 @@ class TriMesh:
     # Populated by __post_init__:
     boundary_edges: np.ndarray = field(init=False)    # (E, 2) directed vertex pairs
     boundary_normals: np.ndarray = field(init=False)  # (E, 2) outward unit normals
+    # the quadrature's data, made on its first request (``_midpoint_rule``)
+    _rule: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.vertices = _as_array(self.vertices, "vertices must be an array of 2D points", float)
@@ -46,8 +51,12 @@ class TriMesh:
         self._check_indices()
         self.triangles = self.triangles.astype(np.int64, copy=False)
         flip = self.areas() < 0.0  # store counterclockwise
-        self.triangles[flip] = self.triangles[flip][:, [0, 2, 1]]
-        self.boundary_edges, self.boundary_normals = self._boundary()
+        if flip.any():  # in a copy: the caller's array may be shared
+            self.triangles = self.triangles.copy()
+            self.triangles[flip] = self.triangles[flip][:, [0, 2, 1]]
+        directed, edge, counts = _edge_table(self.triangles, len(self.vertices))
+        self.boundary_edges = directed[counts[edge] == 1]
+        self.boundary_normals = _normals(self.vertices, self.boundary_edges)
 
     # -- construction helpers ------------------------------------------------
 
@@ -65,21 +74,22 @@ class TriMesh:
         if t.min() < 0 or t.max() >= len(v):
             raise MeshValidationError("triangle indices out of vertex range")
 
-    def _boundary(self):
-        directed, shared = _edge_table(self.triangles, len(self.vertices))
-        boundary = directed[shared == 1]
-        d = self.vertices[boundary[:, 1]] - self.vertices[boundary[:, 0]]
-        lengths = np.linalg.norm(d, axis=1)
-        lengths = np.where(lengths == 0.0, 1.0, lengths)
-        normals = np.stack([d[:, 1], -d[:, 0]], axis=1) / lengths[:, None]
-        return boundary, normals
+    def _midpoint_rule(self):
+        """Triangle areas, the distinct edges' end vertices (E, 2) and the
+        edge of each midpoint slot (ab, bc, ca of all triangles, as in
+        ``_edge_table``), kept while the vertex and triangle arrays stay."""
+        rule = self._rule
+        if rule is None or rule[0] is not self.vertices or rule[1] is not self.triangles:
+            directed, edge, counts = _edge_table(self.triangles, len(self.vertices))
+            ends = np.empty((len(counts), 2), dtype=np.int64)
+            ends[edge] = directed
+            rule = self._rule = (self.vertices, self.triangles, np.abs(self.areas()), ends, edge)
+        return rule[2:]
 
     # -- derived quantities ---------------------------------------------------
 
     def areas(self) -> np.ndarray:
-        v = self.vertices
-        t = self.triangles
-        p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+        p0, p1, p2 = np.take(self.vertices, self.triangles.T, axis=0)
         return 0.5 * (
             (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
             - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0])
@@ -124,7 +134,8 @@ class TriMesh:
             raise MeshValidationError("degenerate triangle with non-positive area")
 
         # edge table of the current triangles, which may have been replaced
-        directed, shared = _edge_table(t, len(v))
+        directed, edge, counts = _edge_table(t, len(v))
+        shared = counts[edge]
         if np.any(shared > 2):
             raise MeshValidationError("non-conforming mesh: edge shared by more than two triangles")
         on_boundary = shared == 1
@@ -158,12 +169,21 @@ def _as_array(data, message: str, dtype=None) -> np.ndarray:
 
 def _edge_table(triangles: np.ndarray, nverts: int):
     """Directed edges ab, bc, ca of all triangles (row k belongs to triangle
-    k % T) and, per row, the number of triangles sharing its undirected edge."""
+    k % T), the index of each row's undirected edge among the distinct
+    edges, and per distinct edge the number of triangles sharing it."""
     t = np.asarray(triangles, dtype=np.int64)
     directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
     key = directed.min(axis=1) * (nverts + 1) + directed.max(axis=1)
-    _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
-    return directed, counts[inverse]
+    _, edge, counts = np.unique(key, return_inverse=True, return_counts=True)
+    return directed, edge, counts
+
+
+def _normals(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Right-hand unit normals of directed edges (outward on the boundary)."""
+    d = vertices[edges[:, 1]] - vertices[edges[:, 0]]
+    lengths = np.linalg.norm(d, axis=1)
+    lengths = np.where(lengths == 0.0, 1.0, lengths)
+    return np.stack([d[:, 1], -d[:, 0]], axis=1) / lengths[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +223,8 @@ def disk(level: int) -> TriMesh:
     triangles = np.array([[0, 1 + i, 1 + (i + 1) % 6] for i in range(6)])
     for _ in range(level):
         vertices, triangles = _subdivide(vertices, triangles)
-        directed, shared = _edge_table(triangles, len(vertices))
-        bnd = np.unique(directed[shared == 1])
+        directed, edge, counts = _edge_table(triangles, len(vertices))
+        bnd = np.unique(directed[counts[edge] == 1])
         vertices[bnd] *= (1.0 / np.linalg.norm(vertices[bnd], axis=1))[:, None]
     return TriMesh(vertices, triangles)
 
@@ -256,10 +276,17 @@ def annulus(
     )
 
 
-def radial_band(radii, angular: int = 64, radial: int = 4) -> TriMesh:
+def radial_band(radii, angular: int = 64, radial: int = 4, like: TriMesh | None = None) -> TriMesh:
     """Structured mesh between two star-shaped radius profiles about the
     origin; ``radii(theta)`` gives the (inner, outer) radii at the angles
-    ``theta``."""
+    ``theta``.
+
+    ``like``, a band this function returned, lends the result its
+    triangles, boundary edges and quadrature edges when it has the same
+    angular and radial counts and every triangle stays counterclockwise on
+    the new vertices; otherwise it is ignored.  Either way the result
+    equals the band built without it, bit for bit.
+    """
     if angular < 3 or radial < 1:
         raise MeshValidationError("band mesh needs angular >= 3 and radial >= 1")
     theta = 2.0 * math.pi * np.arange(angular) / angular
@@ -269,6 +296,12 @@ def radial_band(radii, angular: int = 64, radial: int = 4) -> TriMesh:
     s = (np.arange(radial + 1) / radial)[:, None]
     r = (1.0 - s) * r_in + s * r_out
     vertices = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1).reshape(-1, 2)
+    # a band's vertex and triangle counts fix its angular and radial counts
+    if like is not None and (len(like.vertices), len(like.triangles)) == (
+            len(vertices), 2 * angular * radial):
+        mesh = _moved(like, vertices)
+        if mesh is not None:
+            return mesh
     # Layer j holds ids j*angular ... j*angular + angular - 1; the first id
     # column appended again closes the angle.  Cells go layer by layer, each
     # cut with its angular step first.
@@ -276,6 +309,21 @@ def radial_band(radii, angular: int = 64, radial: int = 4) -> TriMesh:
     ids = np.concatenate([ids, ids[:, :1]], axis=1)
     tris = _split_quads(ids.T).swapaxes(0, 1).reshape(-1, 3)
     return TriMesh(vertices, tris)
+
+
+def _moved(like: TriMesh, vertices: np.ndarray) -> TriMesh | None:
+    """``like`` on new vertices, sharing its topology, or None unless every
+    triangle keeps a positive area; then ``TriMesh`` would store ``like``'s
+    orientations, since reversing a triangle negates its area bit for bit."""
+    mesh = copy.copy(like)
+    mesh.vertices = vertices
+    areas = mesh.areas()
+    if not np.all(areas > 0.0):
+        return None
+    mesh.boundary_normals = _normals(vertices, like.boundary_edges)
+    _, ends, edge = like._midpoint_rule()
+    mesh._rule = (vertices, like.triangles, areas, ends, edge)
+    return mesh
 
 
 def band_prolongation(coarse: np.ndarray, angular: int, radial: int) -> np.ndarray:
@@ -309,19 +357,20 @@ def evaluate_field_ratio(mesh: TriMesh, u_fn, grad_fn) -> dict:
     :class:`InfiniteQuotient` when the symmetric gradient vanishes.
     """
     v = mesh.vertices
-    t = mesh.triangles
-    areas = np.abs(mesh.areas())
-    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    pts = np.stack([0.5 * (p0 + p1), 0.5 * (p1 + p2), 0.5 * (p2 + p0)]).reshape(-1, 2)
-    del p0, p1, p2
+    areas, ends, edge = mesh._midpoint_rule()
     w = np.repeat(areas[None, :] / 3.0, 3, axis=0).ravel()
-    G = np.asarray(grad_fn(pts), dtype=float)
-    del pts
-    grad_sq = float(np.einsum("q,qij->", w, G**2))
+    # One gradient per edge: a slot's midpoint 0.5 (a + b) is its edge's
+    # 0.5 (b + a) bit for bit, so the values squared per edge and gathered
+    # to the slots are the per-slot ones, summed in the same order.
+    # (np.take gathers rows faster than fancy indexing does)
+    mids = 0.5 * (np.take(v, ends[:, 0], axis=0) + np.take(v, ends[:, 1], axis=0))
+    G = np.asarray(grad_fn(mids), dtype=float)
+    del mids
+    grad_sq = float(np.einsum("q,qij->", w, np.take(np.square(G), edge, axis=0)))
     D = G + np.swapaxes(G, 1, 2)  # 0.5 (G + G^T), halved and squared in its own buffer
     del G
     D *= 0.5
-    sym_sq = float(np.einsum("q,qij->", w, np.square(D, out=D)))
+    sym_sq = float(np.einsum("q,qij->", w, np.take(np.square(D, out=D), edge, axis=0)))
 
     bmids = 0.5 * (v[mesh.boundary_edges[:, 0]] + v[mesh.boundary_edges[:, 1]])
     ub = np.asarray(u_fn(bmids), dtype=float)

@@ -89,9 +89,12 @@ class ShellSpec:
         return outer - self.h, outer
 
 
-def shell_mesh(spec: ShellSpec) -> TriMesh:
-    """Structured triangulation of the shell between the two profile curves."""
-    return radial_band(spec.radii, angular=spec.angular_resolution, radial=spec.radial_layers)
+def shell_mesh(spec: ShellSpec, like: TriMesh | None = None) -> TriMesh:
+    """Structured triangulation of the shell between the two profile curves;
+    ``like``, a shell mesh of the same resolution, lends its topology
+    (``radial_band``)."""
+    return radial_band(spec.radii, angular=spec.angular_resolution, radial=spec.radial_layers,
+                       like=like)
 
 
 def shell_field(spec: ShellSpec):
@@ -169,9 +172,10 @@ def blowup_experiment(spec: ShellSpec, h_list: list[float]) -> BlowupTable:
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise ValueError("thickness list must be strictly decreasing")
     rows = []
+    mesh = None  # the rows differ only in their radii: each lends the next its topology
     for h in h_list:
         spec_h = replace(spec, h=float(h))
-        mesh = shell_mesh(spec_h)
+        mesh = shell_mesh(spec_h, like=mesh)
         u_fn, grad_fn = shell_field(spec_h)
         result = evaluate_field_ratio(mesh, u_fn, grad_fn)
         rows.append(

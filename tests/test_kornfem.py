@@ -14,6 +14,8 @@ from kornlab import kornfem as kf
 from kornlab.errors import InfiniteQuotient, SolverFailure
 from kornlab.mesh import TriMesh, annulus, disk, evaluate_field_ratio, unit_square
 
+from helpers import divfree_bump
+
 
 def _encoded(est):
     """The estimate as a ``korn`` report writes one level of it."""
@@ -435,27 +437,9 @@ class TestEvaluateFieldRatio:
             evaluate_field_ratio(mesh, u_fn, grad_fn)
 
     def test_divfree_bump_quotient_approaches_sqrt2(self):
-        # u = rot(psi) with psi = (x(1-x)y(1-y))^2: div u = 0 exactly, so the
-        # continuum quotient is exactly sqrt(2); quadrature converges to it.
-        def psi_parts(p):
-            x, y = p[:, 0], p[:, 1]
-            a, b = x * (1 - x), y * (1 - y)
-            da, db = 1 - 2 * x, 1 - 2 * y
-            return a, b, da, db, x, y
-
-        def u_fn(p):
-            a, b, da, db, x, y = psi_parts(p)
-            return np.stack([2 * a**2 * b * db, -2 * a * da * b**2], axis=1)
-
-        def grad_fn(p):
-            a, b, da, db, x, y = psi_parts(p)
-            out = np.empty((len(p), 2, 2))
-            out[:, 0, 0] = 4 * a * da * b * db
-            out[:, 0, 1] = 2 * a**2 * (db**2 - 2 * b)
-            out[:, 1, 0] = -2 * b**2 * (da**2 - 2 * a)
-            out[:, 1, 1] = -4 * a * da * b * db
-            return out
-
+        # div u = 0 exactly, so the continuum quotient is exactly sqrt(2);
+        # quadrature converges to it.
+        u_fn, grad_fn = divfree_bump()
         errors = []
         for m in (8, 16, 32):
             res = evaluate_field_ratio(unit_square(m), u_fn, grad_fn)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 
 from kornlab.errors import MeshValidationError
 from kornlab.mesh import (
-    TriMesh, annulus, band_prolongation, disk, disk_prolongation, load_mesh, radial_band,
-    unit_square,
+    TriMesh, annulus, band_prolongation, disk, disk_prolongation, evaluate_field_ratio,
+    load_mesh, radial_band, unit_square,
 )
 
-from helpers import save_mesh
+from helpers import divfree_bump, save_mesh
 
 
 def _affine_dofs(vertices, M, b):
@@ -137,6 +138,15 @@ class TestGeneratorsMatchLoops:
         mesh = TriMesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 2, 1]])
         assert mesh.triangles.tolist() == [[0, 1, 2]]
         assert mesh.areas()[0] == 0.5
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_reorienting_leaves_the_callers_triangles_alone(self, dtype):
+        # the caller's array is never written, whether astype copies it or not
+        triangles = np.array([[0, 2, 1], [1, 2, 3]], dtype=dtype)
+        vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        mesh = TriMesh(vertices, triangles)
+        assert triangles.tolist() == [[0, 2, 1], [1, 2, 3]]
+        assert mesh.triangles.tolist() == [[0, 1, 2], [1, 3, 2]]
 
 
 class TestSquare:
@@ -326,3 +336,48 @@ class TestMeshIO:
         )
         with pytest.raises(MeshValidationError, match="area"):
             load_mesh(path)
+
+
+# ---------------------------------------------------------------------------
+# Quadrature: one gradient per edge, gathered to the three midpoint slots of
+# each triangle, must give the slot-by-slot sums bit for bit.
+# ---------------------------------------------------------------------------
+
+def _slot_oracle(mesh, u_fn, grad_fn):
+    # the three-midpoint rule evaluated slot by slot
+    v, t = mesh.vertices, mesh.triangles
+    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+    areas = 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+                   - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0]))
+    mids = np.stack([0.5 * (p0 + p1), 0.5 * (p1 + p2), 0.5 * (p2 + p0)]).reshape(-1, 2)
+    w = np.repeat(np.abs(areas)[None, :] / 3.0, 3, axis=0).ravel()
+    G = grad_fn(mids)
+    grad_norm = math.sqrt(float(np.einsum("q,qij->", w, G**2)))
+    D = 0.5 * (G + np.swapaxes(G, 1, 2))
+    sym_norm = math.sqrt(float(np.einsum("q,qij->", w, D**2)))
+    bmids = 0.5 * (v[mesh.boundary_edges[:, 0]] + v[mesh.boundary_edges[:, 1]])
+    tangency = float(np.abs(np.einsum("ei,ei->e", u_fn(bmids), mesh.boundary_normals)).max())
+    return grad_norm, sym_norm, grad_norm / sym_norm, tangency
+
+
+def _clockwise_file_mesh(tmp_path):
+    m = disk(2)
+    path = tmp_path / "clockwise.json"
+    path.write_text(json.dumps({"vertices": (m.vertices + 0.5).tolist(),
+                                "triangles": m.triangles[:, [0, 2, 1]].tolist()}))
+    mesh = load_mesh(path)
+    assert np.array_equal(mesh.triangles, m.triangles)  # stored counterclockwise
+    return mesh
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda tmp_path: unit_square(16),
+    lambda tmp_path: disk(3),
+    _clockwise_file_mesh,
+], ids=["square16", "disk3", "clockwise-file"])
+def test_per_edge_quadrature_matches_the_slot_oracle_bitwise(make_mesh, tmp_path):
+    mesh = make_mesh(tmp_path)
+    u_fn, grad_fn = divfree_bump()
+    res = evaluate_field_ratio(mesh, u_fn, grad_fn)
+    got = (res["grad_norm"], res["symgrad_norm"], res["korn_quotient"], res["tangency_residual"])
+    assert got == _slot_oracle(mesh, u_fn, grad_fn)

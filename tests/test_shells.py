@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import kornlab
 from kornlab import kornfem as kf
 from kornlab.errors import InfiniteQuotient, MeshValidationError
-from kornlab.mesh import evaluate_field_ratio
+from kornlab.mesh import evaluate_field_ratio, radial_band
 from kornlab.shells import BlowupTable, ShellSpec, blowup_experiment, shell_field, shell_mesh
 
 
@@ -91,6 +92,50 @@ class TestShellMesh:
         theta = np.arctan2(mesh.vertices[:, 1], mesh.vertices[:, 0])
         inner, outer = spec.radii(theta)
         assert np.all(r >= inner - 1e-12) and np.all(r <= outer + 1e-12)
+
+
+def _assert_same_mesh(mesh, fresh):
+    for name in ("vertices", "triangles", "boundary_edges", "boundary_normals"):
+        a, b = getattr(mesh, name), getattr(fresh, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+class TestReusedTopology:
+    """A shell row built on the previous row's topology (``like``) equals
+    the mesh built from scratch, bit for bit, or is built from scratch."""
+
+    def test_rows_at_the_stock_thicknesses_equal_fresh_meshes(self):
+        like = None
+        for h in (0.1, 0.05, 0.025, 0.0125):
+            spec_h = replace(ShellSpec(), h=h)
+            mesh = shell_mesh(spec_h, like=like)
+            if like is not None:
+                assert mesh.triangles is like.triangles  # reused
+            _assert_same_mesh(mesh, shell_mesh(spec_h))
+            like = mesh
+
+    @pytest.mark.parametrize("angular, radial", [(1024, 4), (2048, 3)])
+    def test_another_resolution_is_built_from_scratch(self, angular, radial):
+        like = shell_mesh(ShellSpec(h=0.1))
+        spec = ShellSpec(h=0.05, angular_resolution=angular, radial_layers=radial)
+        mesh = shell_mesh(spec, like=like)
+        assert mesh.triangles is not like.triangles
+        _assert_same_mesh(mesh, shell_mesh(spec))
+
+    def test_radii_that_flip_a_triangle_are_built_from_scratch(self):
+        like = radial_band(lambda t: (np.full_like(t, 0.5), np.full_like(t, 1.0)),
+                           angular=16, radial=4)
+        # outer = inner (1 + eps): the layers' rounding turns some triangles over
+        inner = 1.45 * (1.0 + 1e-15 * np.random.default_rng(0).standard_normal(16))
+        radii = lambda t: (inner, inner * (1.0 + 2.0**-52))
+        fresh = radial_band(radii, angular=16, radial=4)
+        p0, p1, p2 = fresh.vertices[like.triangles.T]
+        areas = 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+                       - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0]))
+        assert np.any(areas < 0.0)  # in like's orientation
+        mesh = radial_band(radii, angular=16, radial=4, like=like)
+        assert mesh.triangles is not like.triangles
+        _assert_same_mesh(mesh, fresh)
 
 
 class TestShellField:
