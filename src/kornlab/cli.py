@@ -362,7 +362,7 @@ def cmd_rigidity(config: dict, values: dict) -> int:
         grid = PeriodicGrid(values["n"], values["box"])
         alpha = bump(grid, values["amplitude"], values["width"], *center)
 
-    _, report = rigidity.synthesize_extremal(alpha, Rotation(values["r0"]))
+    report = rigidity.synthesize_extremal(alpha, Rotation(values["r0"]))
     _write_report(values.get("report"), _report_envelope("rigidity", config, report))
     return EXIT_OK
 

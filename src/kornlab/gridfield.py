@@ -317,23 +317,18 @@ def helmholtz(z: VectorField2) -> tuple[VectorField2, VectorField2]:
     return VectorField2(g, grad_part), VectorField2(g, div_part)
 
 
-def potential_from_spectrum(grid: PeriodicGrid, ghat: np.ndarray) -> VectorField2:
-    """Mean-zero periodic u with grad(u) = G - mean(G), from the half spectrum
-    of G.  Does not check that G is a gradient: callers do that first."""
-    uhat = (grid.dkx * ghat[:, 0] + grid.dky * ghat[:, 1]) * (-1j * grid.inv_dk2)
-    return VectorField2(grid, from_half_spectrum(uhat))
-
-
 def potential_from_gradient(G: MatrixField2) -> VectorField2:
-    """Mean-zero periodic u with grad(u) = G - mean(G).
+    """Mean-zero periodic u with grad(u) = G - mean(G): the inverse of
+    :meth:`VectorField2.grad`.
 
     The constant part of G is the gradient of an affine map, which does not
     live on the torus; callers keep mean(G) as separate metadata.  Raises
     :class:`CurlResidualTooLarge` when G is not a gradient (:func:`check_gradient`).
     """
-    ghat = half_spectrum(G.values)
+    grid, ghat = G.grid, half_spectrum(G.values)
     check_gradient(G, ghat)
-    return potential_from_spectrum(G.grid, ghat)
+    uhat = (grid.dkx * ghat[:, 0] + grid.dky * ghat[:, 1]) * (-1j * grid.inv_dk2)
+    return VectorField2(grid, from_half_spectrum(uhat))
 
 
 def det_integral(G: MatrixField2) -> float:
@@ -438,8 +433,11 @@ def load_field(path) -> ScalarField:
         raise ValueError(f"unsupported component count {header['components']}")
     if header["format"] != "bin":
         raise ValueError(f"unknown field format {header['format']!r}")
+    if not isinstance(data := header["data"], str) or data in ("", "..") or Path(data).name != data:
+        raise ValueError(f"field header key 'data' must name a file beside the header, "
+                         f"got {data!r}")
     n = header["n"]
-    raw = np.fromfile(path.with_name(header["data"]), dtype="<f8")
+    raw = np.fromfile(path.with_name(data), dtype="<f8")
     # checked before the grid, whose wavenumber planes are n x (n/2 + 1)
     if raw.size != n**2:
         raise ValueError(f"payload holds {raw.size} samples, expected {n ** 2}")

@@ -73,6 +73,7 @@ SHIFT_DELTA = 1e-8
 
 #: First-solve relative residual above which a factored form counts as singular.
 SOLVE_TOL = 1e-6
+SINGULAR = "singular {}: undetected rigid mode or geometry/symmetry mismatch"
 
 #: Steps of the block eigen iteration before it counts as not converged.
 MAX_ITER = 400
@@ -356,9 +357,7 @@ class _Pencil:
         if not np.all(np.isfinite(Y)) or (
             first and np.linalg.norm(self._M @ Y - R) > SOLVE_TOL * np.linalg.norm(R)
         ):
-            raise SolverFailure(
-                f"singular {what}: undetected rigid mode or geometry/symmetry mismatch"
-            )
+            raise SolverFailure(SINGULAR.format(what))
         return Y
 
 
@@ -478,13 +477,23 @@ def _seed_pairs(pencil: _Pencil, coords: np.ndarray, count: int, tol: float):
 
 
 def _dense_top(pencil: _Pencil, count: int):
+    """Top ``count`` pairs by a dense reduction.  A singular B factors into
+    garbage as in :meth:`_Pencil.precondition`, which one solve exposes; its
+    right-hand side is random, since A~ or ones can miss a rigid rotation."""
     A = pencil.A.toarray()
     if pencil.ell is not None:
         A = A - np.outer(pencil.ell, pencil.ell) / pencil.scale
     # B = L L^T reduces the pencil for numpy's LAPACK: scipy's eigh runs in a
     # second OpenBLAS thread pool, 30-120 ms instead of 2 ms at 98 dofs (2 BLAS
     # threads on 2 cores) while numpy's pool still spins after block products.
-    Li = np.linalg.inv(np.linalg.cholesky(pencil.B.toarray()))
+    B = pencil.B.toarray()
+    try:
+        Li = np.linalg.inv(np.linalg.cholesky(B))
+    except np.linalg.LinAlgError as exc:  # a ValueError, which reads as invalid input
+        raise SolverFailure(f"factorization of the symmetric-gradient form failed: {exc}") from exc
+    R = np.random.default_rng(0).standard_normal(len(B))
+    if np.linalg.norm(B @ (Li.T @ (Li @ R)) - R) > SOLVE_TOL * np.linalg.norm(R):
+        raise SolverFailure(SINGULAR.format("symmetric-gradient form"))
     vals, vecs = np.linalg.eigh(Li @ A @ Li.T)
     vecs = Li.T @ vecs
     order = np.argsort(vals)[::-1]

@@ -132,6 +132,12 @@ class TriMesh:
             raise MeshValidationError("vertex coordinates must be finite")
         if np.any(self.areas() <= 0.0):
             raise MeshValidationError("degenerate triangle with non-positive area")
+        corners = np.sort(t, axis=1)  # a repeated triangle passes the edge counts below
+        order = np.lexsort(corners.T)  # stable: copies keep their index order
+        same = np.flatnonzero((np.diff(corners[order], axis=0) == 0).all(axis=1))
+        if same.size:
+            raise MeshValidationError("repeated triangle: triangles {} and {} have the same "
+                                      "vertices".format(*order[same[0]:same[0] + 2]))
 
         # edge table of the current triangles, which may have been replaced
         directed, edge, counts = _edge_table(t, len(v))
@@ -303,11 +309,11 @@ def radial_band(radii, angular: int = 64, radial: int = 4, like: TriMesh | None 
         if mesh is not None:
             return mesh
     # Layer j holds ids j*angular ... j*angular + angular - 1; the first id
-    # column appended again closes the angle.  Cells go layer by layer, each
-    # cut with its angular step first.
+    # column appended again closes the angle.  Cells go layer by layer, inner
+    # triangle first, both counterclockwise, so TriMesh reverses none.
     ids = np.arange((radial + 1) * angular).reshape(radial + 1, angular)
     ids = np.concatenate([ids, ids[:, :1]], axis=1)
-    tris = _split_quads(ids.T).swapaxes(0, 1).reshape(-1, 3)
+    tris = _split_quads(ids)[:, :, ::-1].reshape(-1, 3)
     return TriMesh(vertices, tris)
 
 

@@ -39,7 +39,6 @@ from .gridfield import (
     half_spectrum,
     map_strips,
     potential_from_gradient,  # noqa: F401  (public name here; perfbench traces it)
-    potential_from_spectrum,
     tree_sum,
 )
 from .mat2 import dist_so2_arrays  # bound at import: see _strip_sums
@@ -63,29 +62,6 @@ class ExtremalReport:
     theta0: float | None = None          # far-field angle, when known
     lhs_at_theta0: float | None = None   # integral of |G - R(theta0)|^2
     ratio_at_theta0: float | None = None
-
-
-@dataclass
-class ExtremalField:
-    """Deformation split into a mean-zero periodic part plus affine metadata.
-
-    The full gradient is ``affine + grad(periodic)``; the affine matrix is
-    the grid mean of the synthesized gradient (approximately the far-field
-    rotation, since the construction data are compactly supported).  The
-    periodic part is built on access from ``ghat``, the gradient's rfft2.
-    """
-
-    grid: PeriodicGrid
-    ghat: np.ndarray  # (2, 2, n, n/2 + 1) complex
-    affine: np.ndarray
-
-    @property
-    def periodic(self) -> VectorField2:
-        return potential_from_spectrum(self.grid, self.ghat)
-
-    def gradient(self) -> MatrixField2:
-        G = self.periodic.grad()
-        return MatrixField2(G.grid, G.values + self.affine[:, :, None, None])
 
 
 def build_f(alpha: ScalarField) -> VectorField2:
@@ -188,23 +164,21 @@ def assemble_gradient(
     return MatrixField2(f.grid, G), sums
 
 
-def rigidity_ratio(
-    G: MatrixField2, spectrum: np.ndarray | None = None, sums: np.ndarray | None = None
-) -> ExtremalReport:
+def rigidity_ratio(G: MatrixField2, sums: np.ndarray | None = None) -> ExtremalReport:
     """Certificate for a gradient field: best rotation, both sides, ratio.
 
     The minimizer of the integral of |G - R|^2 over SO(2) depends only on
     the mean of G: it is the closest rotation to the conformal part of the
-    mean.  ``spectrum`` is G's :func:`~kornlab.gridfield.half_spectrum`, for
-    the row-curl check; ``sums`` starts with the summed dist^2(G, SO(2)) and
-    the four entry sums of G, as :func:`assemble_gradient` returns them.
-    Either is computed from G when not passed.  One more sweep sums
+    mean.  The row-curl check (:func:`~kornlab.gridfield.check_gradient`)
+    transforms G itself.  ``sums`` starts with the summed dist^2(G, SO(2))
+    and the four entry sums of G, as :func:`assemble_gradient` returns them;
+    they are computed from G when not passed.  One more sweep sums
     |G - R*|^2 (see :func:`_lhs_at`).  Raises :class:`ZeroDistance` when G
     is a rotation field a.e. (the rigidity quotient is then 0/0), and
     :class:`CurlResidualTooLarge` when its row curls exceed ``CURL_TOL``.
     """
     grid = G.grid
-    curl_residual = check_gradient(G, spectrum)
+    curl_residual = check_gradient(G)
     if sums is None:
         sums = tree_sum(map_strips(grid.n, lambda rows: _strip_sums(G.values[:, :, rows])))
     rhs = float(grid.cell_area * sums[0])
@@ -249,12 +223,14 @@ def _lhs_at(G: MatrixField2, R: np.ndarray) -> float:
 
 def synthesize_extremal(
     alpha: ScalarField, r0: mat2.Rotation = mat2.Rotation(0.0)
-) -> tuple[ExtremalField, ExtremalReport]:
+) -> ExtremalReport:
     """Full pipeline: alpha -> f -> g -> gradient -> certificate.
 
-    Requires alpha to satisfy the compact-support convention.  The returned
-    report carries the pipeline norms and, since the far-field rotation is
-    known here, the left-hand side measured against it as well.
+    Requires alpha to satisfy the compact-support convention.  Returns the
+    certificate, which carries the pipeline norms and, since the far-field
+    rotation is known here, the left-hand side measured against it as well.
+    The deformation itself is not built; its mean-zero periodic part is
+    ``potential_from_gradient(assemble_gradient(f, solve_g(f), r0)[0])``.
 
     Every pointwise stage runs over row strips of ``STRIP_ELEMENTS``
     samples, so its temporaries stay in cache, on ``KORNLAB_THREADS``
@@ -263,15 +239,14 @@ def synthesize_extremal(
     :func:`assemble_gradient`, writes G and sums f^2 and g^2 for the norms,
     dist^2(G, SO(2)) for the right-hand side, the entries of G for its mean
     (hence R*), and |G - R0|^2 for the left-hand side at the far-field
-    rotation.  :func:`rigidity_ratio` takes those sums and G-hat, makes the
-    single curl check and a second sweep for |G - R*|^2.  The per-strip
+    rotation.  :func:`rigidity_ratio` takes those sums, makes the single
+    curl check on G-hat and a second sweep for |G - R*|^2.  The per-strip
     sums are combined by :func:`~kornlab.gridfield.tree_sum`, which
     reproduces numpy's whole-plane sums bit for bit, so no reported number
     depends on the strip height or the thread count.
 
     Memory: g-hat overwrites f-hat, and f and g are dropped before the
-    4-plane transform of G, which the curl check reads and the returned
-    field keeps.
+    4-plane transform of G, which only the curl check holds.
     """
     assert_compact_support(alpha)
     grid = alpha.grid
@@ -281,17 +256,14 @@ def synthesize_extremal(
     G, sums = assemble_gradient(f, g, r0)
     del f, g
 
-    ghat = half_spectrum(G.values)
-    report = rigidity_ratio(G, ghat, sums)
-    extremal = ExtremalField(grid, ghat, sums[1:5].reshape(2, 2) / grid.n**2)
-
+    report = rigidity_ratio(G, sums)
     report.alpha_norm = alpha_norm
     report.f_norm = math.sqrt(grid.cell_area * float(sums[5] + sums[6]))
     report.g_norm = math.sqrt(grid.cell_area * float(sums[7] + sums[8]))
     report.theta0 = r0.theta
     report.lhs_at_theta0 = _lhs_total(grid, sums[9:])
     report.ratio_at_theta0 = report.lhs_at_theta0 / (2.0 * report.rhs)
-    return extremal, report
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ def _rigidity_suite() -> list[dict]:
 
     grid = PeriodicGrid(128, 20.0)
     alpha = dipole_bump(grid, amplitude=0.7)
-    _, report = synthesize_extremal(alpha, Rotation(0.3))
+    report = synthesize_extremal(alpha, Rotation(0.3))
     return [
         _prop("rigidity.equality_case", abs(report.ratio - 1.0), 1e-3),
         _prop("rigidity.plancherel_g_f", abs(report.g_norm / report.f_norm - 1.0), 1e-10),

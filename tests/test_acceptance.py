@@ -84,7 +84,7 @@ def test_criterion_3_rigidity_equality_case():
     failures = []
     details = []
     for theta0 in (0.0, math.pi / 3):
-        _, rep = rg.synthesize_extremal(alpha, mat2.Rotation(theta0))
+        rep = rg.synthesize_extremal(alpha, mat2.Rotation(theta0))
         ratio_err = abs(rep.ratio_at_theta0 - 1.0)
         opt_ratio_err = abs(rep.ratio - 1.0)
         plancherel_err = abs(rep.g_norm / rep.f_norm - 1.0)
@@ -113,7 +113,7 @@ def test_criterion_4_grid_refinement_consistency():
     for n in (256, 512):
         grid = PeriodicGrid(n, 20.0)
         alpha = rg.dipole_bump(grid, amplitude=1.0)
-        _, rep = rg.synthesize_extremal(alpha, mat2.Rotation(0.0))
+        rep = rg.synthesize_extremal(alpha, mat2.Rotation(0.0))
         errors[n] = abs(rep.ratio_at_theta0 - 1.0)
     shrank = errors[256] >= 2.0 * errors[512]
     at_floor = errors[256] <= ROUNDOFF_FLOOR and errors[512] <= ROUNDOFF_FLOOR

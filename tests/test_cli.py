@@ -327,8 +327,18 @@ _SQUARE_VERTICES = [[0, 0], [1, 0], [0, 1], [1, 1]]
     (7, "JSON object"),
     ({"vertices": [[0, 0], [1, 0], [0, float("nan")]], "triangles": [[0, 1, 2]]},
      "vertex coordinates must be finite"),
+    # the first ran to exit 0 with kappa_sq 1 on an empty boundary, the second
+    # to the dense Cholesky factorization, which failed with exit 2
+    ({"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 2], [0, 2, 1]]},
+     "repeated triangle: triangles 0 and 1 have the same vertices"),
+    ({"vertices": [*_SQUARE_VERTICES, [3, 3], [4, 3], [3, 4]],
+      "triangles": [[0, 1, 3], [0, 3, 2], [4, 5, 6], [4, 6, 5]]},
+     "repeated triangle: triangles 2 and 3 have the same vertices"),
+    ({"vertices": _SQUARE_VERTICES, "triangles": [[0, 1, 3], [0, 3, 2], [2, 3, 0]]},
+     "repeated triangle: triangles 1 and 2 have the same vertices"),
 ], ids=["two-indices", "ragged", "past-end", "negative", "empty", "non-integer",
-        "1d-vertices", "not-an-object", "nan-vertex"])
+        "1d-vertices", "not-an-object", "nan-vertex", "repeated-lone-triangle",
+        "repeated-isolated-triangle", "repeated-triangle-rotated"])
 def test_malformed_mesh_file_names_defect(tmp_path, capsys, payload, message):
     path = tmp_path / "mesh.json"
     path.write_text(json.dumps(payload))
@@ -336,6 +346,28 @@ def test_malformed_mesh_file_names_defect(tmp_path, capsys, payload, message):
     err = capsys.readouterr().err
     assert err.startswith("kornlab: invalid input:")
     assert message in err
+
+
+def _two_disk_mesh_file(tmp_path, level):
+    from kornlab.mesh import TriMesh, disk
+
+    one = disk(level)
+    path = tmp_path / f"two-disks-{level}.json"
+    save_mesh(TriMesh(np.concatenate([one.vertices, one.vertices + [5.0, 0.0]]),
+                      np.concatenate([one.triangles, one.triangles + len(one.vertices)])), path)
+    return path
+
+
+def test_two_disk_mesh_file_exits_4_on_either_solver_path(tmp_path, capsys):
+    # each disk may rotate alone, so B is singular; the dense path (196
+    # dofs at level 2) used to exit 0 with kappa_sq 4e15, the iterative one
+    # (level 3) already refused it
+    errors = []
+    for level in (2, 3):
+        assert run(["korn", "--mesh-file", str(_two_disk_mesh_file(tmp_path, level))]) == 4
+        errors.append(capsys.readouterr().err)
+    assert errors == ["kornlab: solver failure: singular symmetric-gradient form: "
+                      "undetected rigid mode or geometry/symmetry mismatch\n"] * 2
 
 
 def test_bow_tie_mesh_file_names_vertex(tmp_path, capsys):
@@ -833,6 +865,13 @@ def _json_text(name, text):
      "unknown field format 'xml'"),
     (["rigidity", "--alpha-file", lambda d: _alpha_header(d, n=16.7)],
      "field header key 'n' must be an integer, got 16.7"),
+    # a number here used to crash with a TypeError (exit 1)
+    (["rigidity", "--alpha-file", lambda d: _alpha_header(d, data=5)],
+     "field header key 'data' must name a file beside the header, got 5"),
+    (["rigidity", "--alpha-file", lambda d: _alpha_header(d, data="../alpha.bin")],
+     "field header key 'data' must name a file beside the header, got '../alpha.bin'"),
+    (["rigidity", "--alpha-file", lambda d: _alpha_header(d, data="..")],
+     "field header key 'data' must name a file beside the header, got '..'"),
     # these used to run on with the last of the two values
     (["korn", "--config", _json_text("cfg.json", '{"refine": 1, "refine": 2, "domain": "disk"}')],
      "repeated key 'refine' in a JSON object"),
@@ -847,7 +886,7 @@ def _json_text(name, text):
                                              '"data": "alpha.bin"}')],
      "repeated key 'n' in a JSON object"),
 ], ids=["config-list", "blank-profile", "vector-alpha", "three-components", "xml-format",
-        "fractional-n", "repeated-config-key", "repeated-wavenumber", "repeated-mesh-key",
+        "fractional-n", "numeric-data", "data-outside", "data-parent", "repeated-config-key", "repeated-wavenumber", "repeated-mesh-key",
         "repeated-header-key"])
 def test_refusal_names_its_defect(tmp_path, capsys, argv, message):
     argv = [str(item(tmp_path)) if callable(item) else item for item in argv]

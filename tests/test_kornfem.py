@@ -529,6 +529,26 @@ class TestBlockKernel:
         assert converged
         assert shapes == [(pencil.n, 3)] * iterations
 
+    def test_dense_path_refuses_a_singular_form(self):
+        # disk level 2 (98 dofs) with its rotation left in: the curl term
+        # takes the rotation out of A~, so only the solve check sees that
+        # B is singular; the reduction used to return kappa_sq 42
+        mesh = disk(2)
+        forms = kf.assemble(mesh)
+        pencil = kf._Pencil(forms, kf.tangential_constraints(mesh).basis, forms.curl_vec)
+        assert pencil.n <= kf.DENSE_THRESHOLD
+        with pytest.raises(SolverFailure, match="^singular symmetric-gradient form: "):
+            kf._dense_top(pencil, 3)
+
+    def test_dense_path_maps_a_failed_cholesky_to_solver_failure(self):
+        # numpy raises LinAlgError, a ValueError, which the CLI reads as invalid input
+        mesh = unit_square(4)
+        pencil = kf._Pencil(kf.assemble(mesh), kf.tangential_constraints(mesh).basis, None)
+        pencil.B = -pencil.B
+        with pytest.raises(SolverFailure, match="^factorization of the symmetric-gradient "
+                                                "form failed: .*not positive definite"):
+            kf._dense_top(pencil, 3)
+
     def test_singular_definite_form_raises(self):
         # B is singular along the undeflated rotation; the unpivoted factor
         # still completes, with a roundoff-sized pivot

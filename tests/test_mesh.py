@@ -130,6 +130,22 @@ class TestGeneratorsMatchLoops:
         mesh = TriMesh(mesh.vertices + (0.3, -0.2), mesh.triangles)
         assert_mesh_equals(mesh, *loop_radial_band(inner, outer, angular, radial, (0.3, -0.2)))
 
+    def test_band_is_generated_counterclockwise(self, monkeypatch):
+        # TriMesh reverses clockwise triangles in a copy; a band hands it
+        # counterclockwise ones, so the array it generates is the one stored
+        import kornlab.mesh
+
+        given = []
+
+        def spy(vertices, triangles):
+            given.append(triangles)
+            return TriMesh(vertices, triangles)
+
+        monkeypatch.setattr(kornlab.mesh, "TriMesh", spy)
+        band = annulus(0.5, 1.0, angular=16, radial=2)
+        assert band.triangles is given[0]
+        assert band.triangles[:2].tolist() == [[0, 17, 1], [0, 16, 17]]
+
     @pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
     def test_disk(self, level):
         assert_mesh_equals(disk(level), *loop_disk(level))

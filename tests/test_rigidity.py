@@ -23,6 +23,13 @@ def grid():
     return PeriodicGrid(128, 20.0)
 
 
+def stage_gradient(alpha, r0):
+    """G from the synthesis's public stages, with its half spectrum and mean."""
+    f = rg.build_f(alpha)
+    G = rg.assemble_gradient(f, rg.solve_g(f), r0)[0]
+    return G, half_spectrum(G.values), G.values.mean(axis=(-2, -1))
+
+
 def anticonf_split_norms(G):
     v = G.values
     c_a, c_b, a_a, a_b = mat2.split_arrays(v[0, 0], v[0, 1], v[1, 0], v[1, 1])
@@ -258,42 +265,41 @@ class TestSynthesizeExtremal:
     def test_equality_case(self, theta0):
         gr = PeriodicGrid(512, 20.0)
         alpha = rg.dipole_bump(gr, amplitude=1.0)
-        extremal, report = rg.synthesize_extremal(alpha, mat2.Rotation(theta0))
+        report = rg.synthesize_extremal(alpha, mat2.Rotation(theta0))
         assert abs(report.ratio - 1.0) <= 1e-3
         assert abs(report.ratio_at_theta0 - 1.0) <= 1e-3
         assert abs(report.g_norm / report.f_norm - 1.0) <= 1e-10
         assert report.curl_residual <= 1e-8
         assert mat2.angle_distance(report.optimal_theta, theta0) <= 1e-6
-        # reconstructed potential reproduces the gradient
-        G = extremal.gradient()
-        f = rg.build_f(alpha)
-        alpha_check = rg.assemble_gradient(f, rg.solve_g(f), mat2.Rotation(theta0))[0]
-        assert np.abs(G.values - alpha_check.values).max() < 1e-9
+        # the potential of the stages' gradient reproduces it
+        G, _, affine = stage_gradient(alpha, mat2.Rotation(theta0))
+        rebuilt = rg.potential_from_gradient(G).grad().values + affine[:, :, None, None]
+        assert np.abs(rebuilt - G.values).max() < 1e-9
 
     def test_split_norm_equality_for_centered_gradient(self, grid):
         # integral |(grad v)^c|^2 equals integral |(grad v)^a|^2 for
         # v = u - R0 x: the null-Lagrangian mechanism behind the ratio.
         alpha = rg.dipole_bump(grid, amplitude=1.0)
         theta0 = 0.7
-        extremal, _ = rg.synthesize_extremal(alpha, mat2.Rotation(theta0))
-        G = extremal.gradient()
+        G, _, affine = stage_gradient(alpha, mat2.Rotation(theta0))
+        P = rg.potential_from_gradient(G).grad()
         R0 = mat2.Rotation(theta0).as_array()
-        V = MatrixField2(grid, G.values - R0[:, :, None, None])
+        V = MatrixField2(grid, P.values + (affine - R0)[:, :, None, None])
         conf, anti = anticonf_split_norms(V)
         assert abs(conf - anti) <= 1e-6 * V.norm_l2() ** 2
 
     def test_far_field_metadata_close_to_rotation(self, grid):
         alpha = rg.dipole_bump(grid, amplitude=0.5)
-        extremal, _ = rg.synthesize_extremal(alpha, mat2.Rotation(1.3))
+        G, _, affine = stage_gradient(alpha, mat2.Rotation(1.3))
         R0 = mat2.Rotation(1.3).as_array()
         # means of compactly supported perturbations are O(1/L^2)
-        assert np.abs(extremal.affine - R0).max() < 5e-2
-        assert np.abs(extremal.periodic.mean()).max() < 1e-13
+        assert np.abs(affine - R0).max() < 5e-2
+        assert np.abs(rg.potential_from_gradient(G).mean()).max() < 1e-13
 
     def test_rotation_equivariance(self, grid):
         alpha = rg.dipole_bump(grid, amplitude=0.8)
-        _, rep0 = rg.synthesize_extremal(alpha, mat2.Rotation(0.0))
-        _, rep1 = rg.synthesize_extremal(alpha, mat2.Rotation(1.234))
+        rep0 = rg.synthesize_extremal(alpha, mat2.Rotation(0.0))
+        rep1 = rg.synthesize_extremal(alpha, mat2.Rotation(1.234))
         assert abs(rep0.rhs - rep1.rhs) < 1e-10 * rep0.rhs
         assert abs(rep0.lhs - rep1.lhs) < 1e-10 * rep0.lhs
         shift = mat2.angle_distance(rep1.optimal_theta - rep0.optimal_theta, 1.234)
@@ -361,7 +367,7 @@ class TestOnePassPipeline:
         # read before the write (a finiteness check of G before the sweep
         # fills it) fail instead of passing on finite leftovers
         grid, r0 = PeriodicGrid(64, 20.0), mat2.Rotation(0.5)
-        clean = rg.synthesize_extremal(rg.dipole_bump(grid), r0)[1]
+        clean = rg.synthesize_extremal(rg.dipole_bump(grid), r0)
         empty = np.empty
 
         def poisoned(*args, **kwargs):
@@ -371,7 +377,7 @@ class TestOnePassPipeline:
             return out
 
         monkeypatch.setattr(np, "empty", poisoned)
-        assert rg.synthesize_extremal(rg.dipole_bump(grid), r0)[1] == clean
+        assert rg.synthesize_extremal(rg.dipole_bump(grid), r0) == clean
 
     def test_inconsistent_g_is_caught_by_the_single_check(self, grid, monkeypatch):
         alpha = rg.dipole_bump(grid, amplitude=1.0)
@@ -380,17 +386,6 @@ class TestOnePassPipeline:
         monkeypatch.setattr(rg, "solve_g", lambda f: bogus)
         with pytest.raises(CurlResidualTooLarge):
             rg.synthesize_extremal(alpha, mat2.Rotation(0.0))
-
-    def test_potential_on_access_equals_the_eager_one(self):
-        # the potential that the synthesis used to build before returning
-        grid = PeriodicGrid(64, 20.0)
-        alpha, r0 = rg.dipole_bump(grid), mat2.Rotation(0.5)
-        extremal, _ = rg.synthesize_extremal(alpha, r0)
-        f = rg.build_f(alpha)
-        eager = rg.potential_from_gradient(rg.assemble_gradient(f, rg.solve_g(f), r0)[0])
-        periodic = extremal.periodic
-        assert periodic.values.shape == (2, 64, 64)
-        assert np.array_equal(periodic.values, eager.values)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +468,7 @@ class TestInPlaceSynthesisOracle:
         grid = PeriodicGrid(n, 20.0)
         alpha = profile(grid)
         rot = mat2.Rotation(r0)
-        extremal, report = rg.synthesize_extremal(alpha, rot)
+        report = rg.synthesize_extremal(alpha, rot)
 
         f = _oracle_build_f(alpha)
         g = _oracle_solve_g(grid, f)
@@ -486,10 +481,9 @@ class TestInPlaceSynthesisOracle:
         expected["lhs_at_theta0"] = _oracle_lhs_at(grid, G, rot.theta)
         expected["ratio_at_theta0"] = expected["lhs_at_theta0"] / (2.0 * expected["rhs"])
         _assert_report_matches(report, expected)
-        assert np.array_equal(extremal.affine, G.mean(axis=(-2, -1)))
-        assert np.array_equal(extremal.ghat, ghat)
-        assert np.array_equal(rg.assemble_gradient(rg.build_f(alpha),
-                                                   rg.solve_g(rg.build_f(alpha)), rot)[0].values, G)
+        stage_G, stage_ghat, _ = stage_gradient(alpha, rot)
+        assert np.array_equal(stage_G.values, G)
+        assert np.array_equal(stage_ghat, ghat)
 
     def test_random_gradient_with_nyquist_content(self):
         # the spectral gradient of white noise carries content on the
@@ -525,18 +519,21 @@ class TestStripSweeps:
         grid, rot = PeriodicGrid(n, 20.0), mat2.Rotation(r0)
         assert len(gridfield.row_strips(n)) == 1
         alpha = profile(grid)
-        extremal, report = rg.synthesize_extremal(alpha, rot)
+        report = rg.synthesize_extremal(alpha, rot)
+        stages = stage_gradient(alpha, rot)
         mass = gridfield.support_margin_mass(alpha)
 
         monkeypatch.setattr(gridfield, "STRIP_ELEMENTS", budget)
         assert len(gridfield.row_strips(n)) >= 8
         strip_alpha = profile(grid)
-        strip_extremal, strip_report = rg.synthesize_extremal(strip_alpha, rot)
+        strip_report = rg.synthesize_extremal(strip_alpha, rot)
+        strip_G, strip_ghat, strip_affine = stage_gradient(strip_alpha, rot)
         assert np.array_equal(strip_alpha.values, alpha.values)
         assert gridfield.support_margin_mass(strip_alpha) == mass
         assert strip_report == report
-        assert np.array_equal(strip_extremal.ghat, extremal.ghat)
-        assert np.array_equal(strip_extremal.affine, extremal.affine)
+        assert np.array_equal(strip_G.values, stages[0].values)
+        assert np.array_equal(strip_ghat, stages[1])
+        assert np.array_equal(strip_affine, stages[2])
 
         f = _oracle_build_f(alpha)
         g = _oracle_solve_g(grid, f)
@@ -549,8 +546,8 @@ class TestStripSweeps:
         expected["lhs_at_theta0"] = _oracle_lhs_at(grid, G, rot.theta)
         expected["ratio_at_theta0"] = expected["lhs_at_theta0"] / (2.0 * expected["rhs"])
         _assert_report_matches(strip_report, expected)
-        assert np.array_equal(strip_extremal.ghat, ghat)
-        assert np.array_equal(strip_extremal.affine, G.mean(axis=(-2, -1)))
+        assert np.array_equal(strip_ghat, ghat)
+        assert np.array_equal(strip_affine, G.mean(axis=(-2, -1)))
         assert np.array_equal(rg.assemble_gradient(VectorField2(grid, f), VectorField2(grid, g),
                                                    rot)[0].values, G)
 
@@ -571,11 +568,11 @@ class TestStripThreads:
         runs = {}
         for threads in ("1", "2", "3"):  # 3 threads take uneven shares
             monkeypatch.setenv("KORNLAB_THREADS", threads)
-            extremal, report = rg.synthesize_extremal(profile(grid), rot)
+            report = rg.synthesize_extremal(profile(grid), rot)
+            _, ghat, affine = stage_gradient(profile(grid), rot)
             G = MatrixField2(grid, values)
             runs[threads] = (
-                json.dumps(dataclasses.asdict(report)), extremal.ghat.tobytes(),
-                extremal.affine.tobytes(),
+                json.dumps(dataclasses.asdict(report)), ghat.tobytes(), affine.tobytes(),
                 np.array([gridfield.support_margin_mass(G), G.norm_l2(),
                           G.row_curl_residual()]).tobytes(),
             )
