@@ -366,8 +366,8 @@ def _block_top(pencil: _Pencil, seeds: list[np.ndarray], tol: float
     """Locally optimal block iteration for the largest eigenpairs of (A~, B).
 
     Each step maximizes the Rayleigh quotient over the span of the current
-    block X, the preconditioned residuals T (A X - B X diag(rho)), and the
-    previous update directions P.  The span contains the previous block,
+    block X, the preconditioned residuals T R, R = A X - B X diag(rho), and
+    the previous update directions P.  The span contains the previous block,
     so the leading Rayleigh quotient is nondecreasing: every reported value
     is the quotient of an explicit admissible field, hence a certified lower
     bound, and a prolonged coarse maximizer used as seed keeps square sweeps
@@ -376,25 +376,30 @@ def _block_top(pencil: _Pencil, seeds: list[np.ndarray], tol: float
     unlikely, where single-vector power iteration with a stagnation stop can
     be fooled.
 
-    A step moves the whole block: sparse block products with A and B, one
-    multi-column solve with T = ``pencil.precondition`` (the shifted inverse
-    (sigma B - A)^{-1} on a certified pencil, B^{-1} otherwise; definite
-    factors in a symmetric order) and B-orthonormalization on small Gram
-    matrices.  With B^{-1} the iteration converges at the rate set by the
-    relative gap below the top eigenvalue, which is tiny where the Dirichlet
-    spectrum clusters below 2 (hundreds of iterations at 8k dofs); the shift
-    just above 2 magnifies that gap, and the Dirichlet sweep converges in
-    tens.  The iteration stops when the top Ritz value changes by less than
-    ``tol`` (relative) twice in a row, which also ends a highly degenerate
-    top eigenvalue (the slip square, where 2 is attained) in three steps.
+    A step makes one multi-column solve with T = ``pencil.precondition``
+    (the shifted inverse (sigma B - A)^{-1} on a certified pencil, B^{-1}
+    otherwise; definite factors in a symmetric order), B-orthonormalizes
+    S = [X, T R, P] once on small Gram matrices and multiplies A S and B X.
+    The top Ritz coefficients C are orthonormal, so X = S C, A X = (A S) C,
+    and P = S[:, k:] C[k:] is S C less its part in the last block
+    (Knyazev 2001; Hetmaniuk and Lehoucq 2006).  With B^{-1} the iteration
+    converges at the rate set by the relative gap below the top eigenvalue,
+    which is tiny where the Dirichlet spectrum clusters below 2 (hundreds of
+    iterations at 8k dofs); the shift just above 2 magnifies that gap, and
+    the Dirichlet sweep converges in tens.  The iteration stops when the top
+    Ritz value changes by less than ``tol`` (relative) twice in a row, which
+    also ends a highly degenerate top eigenvalue (the slip square, where 2
+    is attained) in three steps.
 
     Returns (values, vectors, iterations, converged); values sorted
     descending, vectors B-orthonormal, and ``converged`` false when
     ``MAX_ITER`` steps ran without the stopping rule firing.
     """
     X = _b_orthonormalize(pencil, np.stack(seeds, axis=1))
-    if X.shape[1] == 0:
+    k = X.shape[1]
+    if k == 0:
         raise SolverFailure("start block is B-degenerate")
+    AX = pencil.apply_A(X)
     P = None
     rho_top = -np.inf
     stall = 0
@@ -402,19 +407,17 @@ def _block_top(pencil: _Pencil, seeds: list[np.ndarray], tol: float
     converged = False
     for it in range(MAX_ITER):
         iterations = it + 1
-        AX = pencil.apply_A(X)
         rhos = np.einsum("ij,ij->j", X, AX)
         R = AX - pencil.apply_B(X) * rhos[None, :]
         W = pencil.precondition(R)
         S = _b_orthonormalize(pencil, np.hstack([X, W] if P is None else [X, W, P]))
-        a_small = S.T @ pencil.apply_A(S)
+        AS = pencil.apply_A(S)
+        a_small = S.T @ AS
         a_small = 0.5 * (a_small + a_small.T)
         vals, vecs = np.linalg.eigh(a_small)
-        take = min(X.shape[1], S.shape[1])
-        coeff = vecs[:, ::-1][:, :take]
-        X_new = S @ coeff
-        P = X_new - X @ (X.T @ pencil.apply_B(X_new))
-        X = _b_orthonormalize(pencil, X_new)
+        coeff = vecs[:, ::-1][:, :k]
+        X, AX, P = S @ coeff, AS @ coeff, S[:, k:] @ coeff[k:]
+        del S, AS
         top = float(vals[-1])
         if abs(top - rho_top) < tol * max(1.0, abs(top)):
             stall += 1
@@ -424,7 +427,7 @@ def _block_top(pencil: _Pencil, seeds: list[np.ndarray], tol: float
         else:
             stall = 0
         rho_top = top
-    rhos = np.einsum("ij,ij->j", X, pencil.apply_A(X))
+    rhos = np.einsum("ij,ij->j", X, AX)
     order = np.argsort(rhos)[::-1]
     return rhos[order], X[:, order], iterations, converged
 
@@ -477,9 +480,10 @@ def _seed_pairs(pencil: _Pencil, coords: np.ndarray, count: int, tol: float):
 
 
 def _dense_top(pencil: _Pencil, count: int):
-    """Top ``count`` pairs by a dense reduction.  A singular B factors into
-    garbage as in :meth:`_Pencil.precondition`, which one solve exposes; its
-    right-hand side is random, since A~ or ones can miss a rigid rotation."""
+    """Top ``count`` pairs by a dense reduction.  A singular B fails to
+    factor, or factors into garbage as in :meth:`_Pencil.precondition`,
+    which one solve exposes; its right-hand side is random, since A~ or
+    ones can miss a rigid rotation.  Roundoff picks which; both say singular."""
     A = pencil.A.toarray()
     if pencil.ell is not None:
         A = A - np.outer(pencil.ell, pencil.ell) / pencil.scale
@@ -490,7 +494,8 @@ def _dense_top(pencil: _Pencil, count: int):
     try:
         Li = np.linalg.inv(np.linalg.cholesky(B))
     except np.linalg.LinAlgError as exc:  # a ValueError, which reads as invalid input
-        raise SolverFailure(f"factorization of the symmetric-gradient form failed: {exc}") from exc
+        # B = E^T E is semidefinite, so only a null direction fails to factor
+        raise SolverFailure(SINGULAR.format("symmetric-gradient form")) from exc
     R = np.random.default_rng(0).standard_normal(len(B))
     if np.linalg.norm(B @ (Li.T @ (Li @ R)) - R) > SOLVE_TOL * np.linalg.norm(R):
         raise SolverFailure(SINGULAR.format("symmetric-gradient form"))

@@ -9,9 +9,9 @@ rotation of b - a.  This orients inner loops of multiply connected domains
 The structured generators (square, radial bands) number their vertices on a
 grid and split all cells along the same diagonal at once (``_split_quads``).
 All edge topology comes from one edge table (``_edge_table``: directed
-edges, the undirected edge of each and how many triangles share it), read
-by the boundary extraction, by validation, by the disk's boundary
-projection and by the quadrature.
+edges, the undirected edge of each and how many triangles share it); a
+mesh keeps its boundary and quadrature edge index from the table it makes
+at construction, and validation and the disk projection make their own.
 
 Next to the disk and band generators sit their prolongations, which carry
 a dof block to the next level of the sweep: the disk's in the edge order
@@ -42,8 +42,10 @@ class TriMesh:
     # Populated by __post_init__:
     boundary_edges: np.ndarray = field(init=False)    # (E, 2) directed vertex pairs
     boundary_normals: np.ndarray = field(init=False)  # (E, 2) outward unit normals
-    # the quadrature's data, made on its first request (``_midpoint_rule``)
-    _rule: tuple | None = field(init=False, default=None, repr=False, compare=False)
+    # the quadrature's edges: end vertices (N, 2) of the distinct edges, and
+    # the edge of each slot ab, bc, ca of all triangles (3T), as in ``_edge_table``
+    edge_ends: np.ndarray = field(init=False, repr=False, compare=False)
+    slot_edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vertices = _as_array(self.vertices, "vertices must be an array of 2D points", float)
@@ -57,6 +59,9 @@ class TriMesh:
         directed, edge, counts = _edge_table(self.triangles, len(self.vertices))
         self.boundary_edges = directed[counts[edge] == 1]
         self.boundary_normals = _normals(self.vertices, self.boundary_edges)
+        self.edge_ends = np.empty((len(counts), 2), dtype=np.int64)
+        self.edge_ends[edge] = directed
+        self.slot_edges = edge
 
     # -- construction helpers ------------------------------------------------
 
@@ -73,18 +78,6 @@ class TriMesh:
             raise MeshValidationError("triangle indices must be integers")
         if t.min() < 0 or t.max() >= len(v):
             raise MeshValidationError("triangle indices out of vertex range")
-
-    def _midpoint_rule(self):
-        """Triangle areas, the distinct edges' end vertices (E, 2) and the
-        edge of each midpoint slot (ab, bc, ca of all triangles, as in
-        ``_edge_table``), kept while the vertex and triangle arrays stay."""
-        rule = self._rule
-        if rule is None or rule[0] is not self.vertices or rule[1] is not self.triangles:
-            directed, edge, counts = _edge_table(self.triangles, len(self.vertices))
-            ends = np.empty((len(counts), 2), dtype=np.int64)
-            ends[edge] = directed
-            rule = self._rule = (self.vertices, self.triangles, np.abs(self.areas()), ends, edge)
-        return rule[2:]
 
     # -- derived quantities ---------------------------------------------------
 
@@ -130,6 +123,9 @@ class TriMesh:
         v, t = self.vertices, self.triangles
         if not np.all(np.isfinite(v)):
             raise MeshValidationError("vertex coordinates must be finite")
+        unused = np.flatnonzero(np.bincount(t.ravel(), minlength=len(v)) == 0)
+        if unused.size:  # a free vertex makes both forms singular
+            raise MeshValidationError(f"vertex {unused[0]} is a corner of no triangle")
         if np.any(self.areas() <= 0.0):
             raise MeshValidationError("degenerate triangle with non-positive area")
         corners = np.sort(t, axis=1)  # a repeated triangle passes the edge counts below
@@ -323,12 +319,9 @@ def _moved(like: TriMesh, vertices: np.ndarray) -> TriMesh | None:
     orientations, since reversing a triangle negates its area bit for bit."""
     mesh = copy.copy(like)
     mesh.vertices = vertices
-    areas = mesh.areas()
-    if not np.all(areas > 0.0):
+    if not np.all(mesh.areas() > 0.0):
         return None
     mesh.boundary_normals = _normals(vertices, like.boundary_edges)
-    _, ends, edge = like._midpoint_rule()
-    mesh._rule = (vertices, like.triangles, areas, ends, edge)
     return mesh
 
 
@@ -362,9 +355,8 @@ def evaluate_field_ratio(mesh: TriMesh, u_fn, grad_fn) -> dict:
     max |u . n| over boundary-edge midpoints.  Raises
     :class:`InfiniteQuotient` when the symmetric gradient vanishes.
     """
-    v = mesh.vertices
-    areas, ends, edge = mesh._midpoint_rule()
-    w = np.repeat(areas[None, :] / 3.0, 3, axis=0).ravel()
+    v, ends, edge = mesh.vertices, mesh.edge_ends, mesh.slot_edges
+    w = np.repeat(np.abs(mesh.areas())[None, :] / 3.0, 3, axis=0).ravel()
     # One gradient per edge: a slot's midpoint 0.5 (a + b) is its edge's
     # 0.5 (b + a) bit for bit, so the values squared per edge and gathered
     # to the slots are the per-slot ones, summed in the same order.

@@ -16,6 +16,7 @@ import kornlab
 from kornlab import cli
 from kornlab.cli import main, parse_profile
 from kornlab.gridfield import PeriodicGrid, ScalarField, save_field
+from kornlab.mesh import unit_square
 
 from helpers import save_mesh
 
@@ -316,6 +317,11 @@ def test_missing_input_file_exits_2(tmp_path, capsys, argv):
 _SQUARE_VERTICES = [[0, 0], [1, 0], [0, 1], [1, 1]]
 
 
+def _square_and_a_free_vertex(cells):
+    mesh = unit_square(cells)
+    return {"vertices": [*mesh.vertices.tolist(), [5, 5]], "triangles": mesh.triangles.tolist()}
+
+
 @pytest.mark.parametrize("payload, message", [
     ({"vertices": _SQUARE_VERTICES, "triangles": [[0, 1]]}, "index triples"),
     ({"vertices": _SQUARE_VERTICES, "triangles": [[0, 1, 2], [1, 3]]}, "index triples"),
@@ -336,16 +342,22 @@ _SQUARE_VERTICES = [[0, 0], [1, 0], [0, 1], [1, 1]]
      "repeated triangle: triangles 2 and 3 have the same vertices"),
     ({"vertices": _SQUARE_VERTICES, "triangles": [[0, 1, 3], [0, 3, 2], [2, 3, 0]]},
      "repeated triangle: triangles 1 and 2 have the same vertices"),
+    # a vertex no triangle uses makes both forms singular: the dense path
+    # (unit_square(4)) and the iterative one (unit_square(16)) exited 4
+    (_square_and_a_free_vertex(4), "vertex 25 is a corner of no triangle"),
+    (_square_and_a_free_vertex(16), "vertex 289 is a corner of no triangle"),
 ], ids=["two-indices", "ragged", "past-end", "negative", "empty", "non-integer",
         "1d-vertices", "not-an-object", "nan-vertex", "repeated-lone-triangle",
-        "repeated-isolated-triangle", "repeated-triangle-rotated"])
+        "repeated-isolated-triangle", "repeated-triangle-rotated", "unused-vertex-dense",
+        "unused-vertex-iterative"])
 def test_malformed_mesh_file_names_defect(tmp_path, capsys, payload, message):
     path = tmp_path / "mesh.json"
     path.write_text(json.dumps(payload))
-    assert run(["korn", "--mesh-file", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("kornlab: invalid input:")
-    assert message in err
+    for bc in ("tangential", "dirichlet"):
+        assert run(["korn", "--mesh-file", str(path), "--bc", bc]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("kornlab: invalid input:")
+        assert message in err
 
 
 def _two_disk_mesh_file(tmp_path, level):

@@ -511,9 +511,16 @@ class TestBlockKernel:
         _, pencil = _undeflated_disk_pencil()
         assert kf._b_orthonormalize(pencil, np.zeros((pencil.n, 2))).shape == (pencil.n, 0)
 
-    def test_one_block_solve_per_iteration(self):
+    @staticmethod
+    def _dirichlet_square_block():
         mesh = unit_square(16)
         pencil = kf._Pencil(kf.assemble(mesh), kf.dirichlet_constraints(mesh).basis, None)
+        rng = np.random.default_rng(0)
+        seeds = [kf.dirichlet_constraints(mesh).basis.T @ kf._bump_seed(mesh)]
+        return pencil, seeds + [rng.standard_normal(pencil.n) for _ in range(2)]
+
+    def test_one_block_solve_per_iteration(self):
+        pencil, seeds = self._dirichlet_square_block()
         pencil.precondition(np.zeros((pencil.n, 1)))  # factor once
         solve, shapes = pencil._solve, []
 
@@ -522,12 +529,24 @@ class TestBlockKernel:
             return solve(R)
 
         pencil._solve = counting
-        rng = np.random.default_rng(0)
-        seeds = [kf.dirichlet_constraints(mesh).basis.T @ kf._bump_seed(mesh)]
-        seeds += [rng.standard_normal(pencil.n) for _ in range(2)]
         _, _, iterations, converged = kf._block_top(pencil, seeds, 1e-10)
         assert converged
         assert shapes == [(pencil.n, 3)] * iterations
+
+    def test_one_b_orthonormalization_per_iteration(self, monkeypatch):
+        # the Ritz basis is B-orthonormal and the Ritz coefficients are
+        # orthonormal, so the next block needs no pass of its own: one for
+        # the start block and one per step
+        pencil, seeds = self._dirichlet_square_block()
+        calls, orthonormalize = [], kf._b_orthonormalize
+        monkeypatch.setattr(kf, "_b_orthonormalize",
+                            lambda p, V: calls.append(V.shape[1]) or orthonormalize(p, V))
+        values, X, iterations, converged = kf._block_top(pencil, seeds, 1e-10)
+        assert converged and iterations > 2
+        assert calls == [3, 6] + [9] * (iterations - 1)
+        np.testing.assert_allclose(X.T @ (pencil.B @ X), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(values, np.einsum("ij,ij->j", X, pencil.apply_A(X)),
+                                   rtol=1e-13)
 
     def test_dense_path_refuses_a_singular_form(self):
         # disk level 2 (98 dofs) with its rotation left in: the curl term
@@ -545,8 +564,8 @@ class TestBlockKernel:
         mesh = unit_square(4)
         pencil = kf._Pencil(kf.assemble(mesh), kf.tangential_constraints(mesh).basis, None)
         pencil.B = -pencil.B
-        with pytest.raises(SolverFailure, match="^factorization of the symmetric-gradient "
-                                                "form failed: .*not positive definite"):
+        # B = E^T E is semidefinite, so a failed factorization means a singular form
+        with pytest.raises(SolverFailure, match="^singular symmetric-gradient form: "):
             kf._dense_top(pencil, 3)
 
     def test_singular_definite_form_raises(self):

@@ -10,6 +10,7 @@ import pytest
 
 import kornlab
 from kornlab import kornfem as kf
+from kornlab import mesh as mesh_module
 from kornlab.errors import InfiniteQuotient, MeshValidationError
 from kornlab.mesh import evaluate_field_ratio, radial_band
 from kornlab.shells import BlowupTable, ShellSpec, blowup_experiment, shell_field, shell_mesh
@@ -95,7 +96,8 @@ class TestShellMesh:
 
 
 def _assert_same_mesh(mesh, fresh):
-    for name in ("vertices", "triangles", "boundary_edges", "boundary_normals"):
+    for name in ("vertices", "triangles", "boundary_edges", "boundary_normals", "edge_ends",
+                 "slot_edges"):
         a, b = getattr(mesh, name), getattr(fresh, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
@@ -113,6 +115,15 @@ class TestReusedTopology:
                 assert mesh.triangles is like.triangles  # reused
             _assert_same_mesh(mesh, shell_mesh(spec_h))
             like = mesh
+
+    def test_four_rows_make_one_edge_table(self, monkeypatch):
+        # the first row's mesh keeps the quadrature's edge index from the
+        # table that finds its boundary, and the later rows share it
+        calls, edge_table = [], mesh_module._edge_table
+        monkeypatch.setattr(mesh_module, "_edge_table",
+                            lambda *a: calls.append(a[1]) or edge_table(*a))
+        blowup_experiment(ShellSpec(), [0.1, 0.05, 0.025, 0.0125])
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("angular, radial", [(1024, 4), (2048, 3)])
     def test_another_resolution_is_built_from_scratch(self, angular, radial):
