@@ -65,9 +65,16 @@ def half_spectrum(values: np.ndarray) -> np.ndarray:
 
 
 def from_half_spectrum(coeffs: np.ndarray) -> np.ndarray:
-    """Real samples of a half spectrum: irfft2 back to the n x n grid."""
+    """Real samples of a half spectrum: irfft2 back to the n x n grid, run as
+    its two passes, and consuming ``coeffs``.
+
+    The column pass overwrites ``coeffs``; the row pass then makes the real
+    samples, so no complex copy of the spectrum is held (irfft2 makes one).
+    n is a power of two, so the 1/n scaling of each pass is exact and the
+    result is irfft2's bit for bit."""
     n = coeffs.shape[-2]
-    return scipy.fft.irfft2(coeffs, s=(n, n), axes=(-2, -1), workers=fft_workers())
+    cols = scipy.fft.ifftn(coeffs, axes=(-2,), overwrite_x=True, workers=fft_workers())
+    return scipy.fft.irfftn(cols, s=(n,), axes=(-1,), workers=fft_workers())
 
 
 def row_strips(n: int) -> list[slice]:
@@ -256,34 +263,39 @@ class MatrixField2(_Field):
         """Max over rows of ||curl(row)||_2, relative to the sum over rows of
         ||grad(row)||_2; zero (to roundoff) exactly for spectral gradients.
 
-        Both norms come from ``spectrum``, the field's :func:`half_spectrum`
-        (computed when not given), by Plancherel.  The powers |coeff|^2 are
-        formed one row strip of the half spectrum at a time, from the real
-        and imaginary parts, so no complex copy of the spectrum is made.
-        Each power is summed per strip, its first and last columns are kept,
-        and the strips combine by :func:`tree_sum`: strips of at least 8 rows
-        of odd length n/2 + 1 split where numpy's pairwise sum of the whole
-        half plane does, so the result is the whole-plane one bit for bit."""
-        g = self.grid
-        ghat = half_spectrum(self.values) if spectrum is None else spectrum
-        edges = np.empty((2, 2, 3, g.n))  # the powers on the first and last column
-
-        def strip(rows):
-            re, im = ghat[:, :, rows].real, ghat[:, :, rows].imag
-            dkx = g.dkx[rows]
-            # the strip's powers: row i holds curl_i, grad_i0, grad_i1
-            power = np.empty((2, 3, rows.stop - rows.start, ghat.shape[-1]))
-            for i in range(2):
-                # curl = dkx * ghat[i, 1] - dky * ghat[i, 0], part by part
-                power[i, 0] = ((dkx * re[i, 1] - g.dky * re[i, 0]) ** 2
-                               + (dkx * im[i, 1] - g.dky * im[i, 0]) ** 2)
-                power[i, 1:] = (re[i] ** 2 + im[i] ** 2) * g.dk2[rows]
-            edges[0, ..., rows], edges[1, ..., rows] = power[..., 0], power[..., -1]
-            return power.sum(axis=(-2, -1))
-
-        norms2 = g._plancherel_from_sums(tree_sum(map_strips(g.n, strip)), edges[0], edges[1])
+        Both norms come from the rows' :func:`half_spectrum` by Plancherel:
+        ``spectrum`` when given, else one row of the field (two planes) is
+        transformed at a time.  The powers |coeff|^2 are formed one row strip
+        of the half spectrum at a time, from the real and imaginary parts, so
+        no complex copy of the spectrum is made.  Each power is summed per
+        strip, its first and last columns are kept, and the strips combine by
+        :func:`tree_sum`: strips of at least 8 rows of odd length n/2 + 1
+        split where numpy's pairwise sum of the whole half plane does, so the
+        result is the whole-plane one bit for bit."""
+        # a row's transform is freed as its norms return, before the next is made
+        norms2 = np.array([self._row_norms2(half_spectrum(self.values[i]) if spectrum is None
+                                            else spectrum[i]) for i in range(2)])
         curls, grads = norms2[:, 0], norms2[:, 1:].sum(axis=1)
         return float(np.sqrt(curls).max() / max(np.sqrt(grads).sum(), 1e-300))
+
+    def _row_norms2(self, ghat: np.ndarray) -> np.ndarray:
+        """Squared L2 norms of curl(row), d_0 row and d_1 row, from the
+        (2, n, n/2 + 1) half spectrum of one row of the field."""
+        g = self.grid
+        edges = np.empty((2, 3, g.n))  # the powers on the first and last column
+
+        def strip(rows):
+            re, im = ghat[:, rows].real, ghat[:, rows].imag
+            dkx = g.dkx[rows]
+            power = np.empty((3, rows.stop - rows.start, ghat.shape[-1]))
+            # curl = dkx * ghat[1] - dky * ghat[0], part by part
+            power[0] = ((dkx * re[1] - g.dky * re[0]) ** 2
+                        + (dkx * im[1] - g.dky * im[0]) ** 2)
+            power[1:] = (re**2 + im**2) * g.dk2[rows]
+            edges[0, :, rows], edges[1, :, rows] = power[..., 0], power[..., -1]
+            return power.sum(axis=(-2, -1))
+
+        return g._plancherel_from_sums(tree_sum(map_strips(g.n, strip)), edges[0], edges[1])
 
 
 def check_gradient(G: MatrixField2, spectrum=None) -> float:

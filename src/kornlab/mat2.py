@@ -47,7 +47,8 @@ class Rotation:
     theta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
+        theta = float(self.theta) % TWO_PI  # rounds to 2*pi for tiny negative angles
+        object.__setattr__(self, "theta", 0.0 if theta == TWO_PI else theta)
 
     def as_array(self) -> np.ndarray:
         c, s = math.cos(self.theta), math.sin(self.theta)

@@ -64,12 +64,13 @@ class ExtremalReport:
     ratio_at_theta0: float | None = None
 
 
-def build_f(alpha: ScalarField) -> VectorField2:
-    """Pointwise lift f = (sin alpha, cos alpha - 1), one row strip at a time.
+def build_f(alpha: ScalarField, out: np.ndarray | None = None) -> VectorField2:
+    """Pointwise lift f = (sin alpha, cos alpha - 1), one row strip at a time,
+    into ``out`` (a (2, n, n) array) when given.
 
     |f|^2 = 2 - 2 cos(alpha) <= alpha^2 pointwise, so ||f|| <= ||alpha||.
     """
-    f = np.empty((2,) + alpha.values.shape)
+    f = np.empty((2,) + alpha.values.shape) if out is None else out
     map_strips(alpha.grid.n, lambda rows: (np.sin(alpha.values[rows], out=f[0, rows]),
                np.subtract(np.cos(alpha.values[rows]), 1.0, out=f[1, rows])))
     return VectorField2(alpha.grid, f)
@@ -91,7 +92,8 @@ def solve_g(f: VectorField2) -> VectorField2:
     annihilated by curl and div).
 
     g-hat overwrites f-hat one row strip of the half spectrum at a time,
-    with the multiplier formed per strip.
+    with the multiplier formed per strip, and the inverse transform consumes
+    g-hat (:func:`~kornlab.gridfield.from_half_spectrum`).
     """
     grid = f.grid
     ghat = half_spectrum(f.values)
@@ -118,7 +120,9 @@ def solve_g(f: VectorField2) -> VectorField2:
 
 def _gradient_rows(f, g, r: np.ndarray, G: np.ndarray) -> None:
     """R0 (R(alpha) + [[a, b], [b, -a]]) on the rows of one strip: f, g and
-    G are that strip's (2, h, n), (2, h, n) and (2, 2, h, n) views."""
+    G are that strip's (2, h, n), (2, h, n) and (2, 2, h, n) views.  The four
+    entries of ``base`` are temporaries made before G is written, so f may
+    be a view of G[0]."""
     sa, cm1 = f
     a, b = g
     ca = cm1 + 1.0
@@ -137,7 +141,8 @@ def _strip_sums(Gs: np.ndarray) -> list:
 
 
 def assemble_gradient(
-    f: VectorField2, g: VectorField2, r0: mat2.Rotation = mat2.Rotation(0.0)
+    f: VectorField2, g: VectorField2, r0: mat2.Rotation = mat2.Rotation(0.0),
+    out: np.ndarray | None = None,
 ) -> tuple[MatrixField2, np.ndarray]:
     """Pointwise gradient R0 (R(alpha) + [[a, b], [b, -a]]) from
     f = (sin alpha, cos alpha - 1) and g = (a, b), plus 13 sums over it.
@@ -149,10 +154,14 @@ def assemble_gradient(
     :func:`rigidity_ratio` takes), f^2 and g^2 per component (4), and
     |G_ij - R0_ij|^2 (4), in that order.  No curl check runs here:
     :func:`rigidity_ratio` makes it.
+
+    G is written into ``out``, a (2, 2, n, n) array, when given; f may be
+    ``out[0]``: each strip's f and g are read into temporaries before its
+    rows of G are written.
     """
     n = f.grid.n
     r = r0.as_array()
-    G = np.empty((2, 2, n, n))
+    G = np.empty((2, 2, n, n)) if out is None else out
 
     def strip(rows):
         fs, gs, Gs = f.values[:, rows], g.values[:, rows], G[:, :, rows]
@@ -234,26 +243,32 @@ def synthesize_extremal(
 
     Every pointwise stage runs over row strips of ``STRIP_ELEMENTS``
     samples, so its temporaries stay in cache, on ``KORNLAB_THREADS``
-    threads (:func:`~kornlab.gridfield.map_strips`); only the three FFTs
-    (f-hat, g, G-hat) see whole planes, with as many workers.  One sweep,
-    :func:`assemble_gradient`, writes G and sums f^2 and g^2 for the norms,
-    dist^2(G, SO(2)) for the right-hand side, the entries of G for its mean
-    (hence R*), and |G - R0|^2 for the left-hand side at the far-field
-    rotation.  :func:`rigidity_ratio` takes those sums, makes the single
-    curl check on G-hat and a second sweep for |G - R*|^2.  The per-strip
-    sums are combined by :func:`~kornlab.gridfield.tree_sum`, which
-    reproduces numpy's whole-plane sums bit for bit, so no reported number
-    depends on the strip height or the thread count.
+    threads (:func:`~kornlab.gridfield.map_strips`); only the FFTs (f-hat,
+    the two passes back to g, and G-hat one row of G at a time) see whole
+    planes, with as many workers.  One sweep, :func:`assemble_gradient`,
+    writes G and sums f^2 and g^2 for the norms, dist^2(G, SO(2)) for the
+    right-hand side, the entries of G for its mean (hence R*), and
+    |G - R0|^2 for the left-hand side at the far-field rotation.
+    :func:`rigidity_ratio` takes those sums, makes the single curl check on
+    G-hat and a second sweep for |G - R*|^2.  The per-strip sums are
+    combined by :func:`~kornlab.gridfield.tree_sum`, which reproduces
+    numpy's whole-plane sums bit for bit, so no reported number depends on
+    the strip height or the thread count.
 
-    Memory: g-hat overwrites f-hat, and f and g are dropped before the
-    4-plane transform of G, which only the curl check holds.
+    Memory: alpha, G and one 2-plane spectrum (or g), 7 planes at most.  G
+    is allocated first and f is written into G[0], whose rows the sweep then
+    overwrites with G's; g-hat overwrites f-hat and the inverse transform
+    consumes it; g is dropped before the curl check, which transforms one
+    row of G (2 planes) at a time.  G[1] is written, and its pages touched,
+    only in the sweep.
     """
     assert_compact_support(alpha)
     grid = alpha.grid
     alpha_norm = alpha.norm_l2()
-    f = build_f(alpha)
+    G = np.empty((2, 2, grid.n, grid.n))
+    f = build_f(alpha, out=G[0])
     g = solve_g(f)
-    G, sums = assemble_gradient(f, g, r0)
+    G, sums = assemble_gradient(f, g, r0, out=G)
     del f, g
 
     report = rigidity_ratio(G, sums)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from kornlab import gridfield
 from kornlab.errors import CurlResidualTooLarge
@@ -158,6 +159,23 @@ class TestHalfSpectrum:
             G = MatrixField2(gs, values)
             oracle = full_fft_row_curl_residual(G)
             assert abs(G.row_curl_residual() - oracle) <= 1e-12 * oracle
+
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 2)], ids=["scalar", "vector", "matrix"])
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128, 256])
+    def test_two_pass_inverse_equals_irfft2_bit_for_bit(self, monkeypatch, n, lead):
+        # random half spectra: the DC and Nyquist columns are not Hermitian,
+        # so both inverses must drop the same parts of them
+        rng = np.random.default_rng(n * 10 + len(lead))
+        shape = lead + (n, n // 2 + 1)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for col in (0, -1):
+            assert np.abs(coeffs[..., 1:, col] - coeffs[..., :0:-1, col].conj()).min() > 0.0
+        want = scipy.fft.irfft2(coeffs, s=(n, n), axes=(-2, -1))
+        for threads in ("1", "3"):
+            monkeypatch.setenv("KORNLAB_THREADS", threads)
+            got = from_half_spectrum(coeffs.copy())
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
     def test_fft_workers_follow_kornlab_threads(self, monkeypatch):
         monkeypatch.delenv("KORNLAB_THREADS", raising=False)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kornlab import mat2
@@ -128,6 +128,18 @@ class TestClosestRotation:
     def test_angle_reduction(self):
         assert mat2.Rotation(-math.pi).theta == pytest.approx(math.pi)
         assert mat2.Rotation(2.0 * math.pi).theta == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=st.floats(allow_nan=False, allow_infinity=False))
+@example(theta=-0.0)
+@example(theta=-5e-324)
+@example(theta=-1e-17)
+@example(theta=2.0 * math.pi)
+@example(theta=4.0 * math.pi)
+def test_rotation_angle_lies_in_half_open_turn(theta):
+    # float % rounds a tiny negative angle up to 2*pi itself
+    assert 0.0 <= mat2.Rotation(theta).theta < mat2.TWO_PI
 
 
 @settings(max_examples=200, deadline=None)
